@@ -1,7 +1,8 @@
 """Exact integer arithmetic and classical multiplicative functions.
 
 Everything here is deterministic: primality is decided by a fixed-base
-strong test that is exact for n < 3.3 * 10^24, and factorization combines
+strong test that is exact for n below psi_13 = 3317044064679887385961981
+(about 3.3 * 10^24) and refused at or above it, and factorization combines
 trial division with Brent's cycle-finding variant of the rho method using
 a fixed parameter schedule.  No probabilistic verdicts are surfaced.
 """
@@ -14,8 +15,12 @@ from functools import reduce
 
 from .errors import DomainError
 
-# Strong-test bases that decide primality exactly for n < 3,317,044,064,679,887,385,961,981.
+# Strong pseudoprime bounds (Sorenson and Webster 2017): the prime bases
+# up to 37 decide primality exactly below psi_12, and adding 41 extends that
+# to psi_13.  psi_12 = 399165290221 * 798330580441 passes every base to 37.
 _STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -33,9 +38,15 @@ def pow_mod(base: int, exponent: int, modulus: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 3.3e24."""
+    """Deterministic primality for 0 <= n < psi_13 (about 3.3e24).
+
+    Strong tests to the prime bases up to 37, plus base 41 from psi_12 on;
+    DomainError at or above psi_13, where no fixed base set is proven.
+    """
     if n < 2:
         return False
+    if n >= _PSI_13:
+        raise DomainError(f"deterministic primality is proven only below {_PSI_13}, got {n}")
     for p in _SMALL_PRIMES:
         if n == p:
             return True
@@ -46,7 +57,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _STRONG_BASES:
+    for a in _STRONG_BASES if n < _PSI_12 else _STRONG_BASES + (41,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

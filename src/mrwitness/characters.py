@@ -6,9 +6,15 @@ p**e block is cyclic with the smallest primitive root as generator; the
 (e = 2), or the pair (-1, 5) with orders (2, 2**(e-2)) for e >= 3.  A
 character is one exponent per generator, and its value at a unit w is
 e(sum_i t_i * a_i / m_i) where the a_i are componentwise discrete logs of
-w.  Logs come from per-component lookup tables built on first use; all
-phase arithmetic is exact rational, so equality tests (orthogonality,
-conductor search) never depend on floating-point tolerances.
+w.  Logs come from per-component int32 lookup tables built on first use.
+Every phase is an integer numerator over the group exponent M, so equality
+tests (orthogonality, conductors) never depend on floating-point
+tolerances, and value tables index one cached table of e(j/M) per group.
+
+The conductor is a product of per-component conductors read off the
+exponents in closed form, and the inducing primitive character's
+exponents are looked up in the component log tables; no divisor of n is
+searched.
 """
 
 from __future__ import annotations
@@ -16,15 +22,32 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .arith import divisors, factorize, lcm_all, primitive_root
+from .arith import factorize, lcm_all, primitive_root
 from .errors import DomainError
 
 _LOG_TABLE_LIMIT = 10**7
+
+
+def _valuation(x: int, p: int) -> int:
+    """Exponent of the prime p in x != 0."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _over_characters(per_generator) -> np.ndarray:
+    """sum_i per_generator[i][t_i] for every exponent vector t, flat in
+    character-index order."""
+    total = np.zeros((), np.int64)
+    for v in per_generator:
+        total = np.add.outer(total, v)
+    return total.ravel()
 
 
 class UnitGroupComponent:
@@ -40,7 +63,8 @@ class UnitGroupComponent:
         self._logs: tuple[np.ndarray, ...] | None = None
 
     def log_tables(self) -> tuple[np.ndarray, ...]:
-        """Per-generator exponent of every residue mod p**e; -1 on non-units.
+        """Per-generator exponent (int32) of every residue mod p**e; 0 on
+        non-units, so callers test w mod p first.
 
         Idempotent build, safe to race: concurrent callers compute identical
         tables and the final assignment is atomic.
@@ -51,7 +75,7 @@ class UnitGroupComponent:
                 raise DomainError(
                     f"character evaluation supports prime-power components up to {_LOG_TABLE_LIMIT}"
                 )
-            tabs = [np.full(pe, -1, np.int64) for _ in self.generators]
+            tabs = [np.zeros(pe, np.int32) for _ in self.generators]
             if self.p == 2 and self.e >= 3:
                 x = 1
                 for t in range(self.orders[1]):
@@ -69,21 +93,87 @@ class UnitGroupComponent:
             self._logs = tuple(tabs)
         return self._logs
 
+    def conductor_exponent(self, exps: tuple[int, ...]) -> int:
+        """f with p**f the conductor of the component character that has
+        these exponents on the generators.
+
+        Odd p**e, exponent t: 0 when t = 0, else max(1, e - v_p(t)); 2**2
+        follows the same rule.  2**e with e >= 3 and exponents (a, b) on
+        (-1, 5): e - v_2(b) when b != 0, else 2 when a != 0, else 0.
+        """
+        if not any(exps):
+            return 0
+        if self.p == 2 and self.e >= 3:
+            a, b = exps
+            return self.e - _valuation(b, 2) if b else 2
+        return max(1, self.e - _valuation(exps[0], self.p))
+
+    def induced_exponents(self, exps: tuple[int, ...], sub: "UnitGroupComponent") -> list[int]:
+        """Exponents on the generators of `sub` (the component mod p**f, f
+        at least this character's conductor exponent) of the character mod
+        p**f that induces the one with `exps` here.
+
+        Its value at a generator g of `sub` is this character's value at g
+        itself, a unit mod p**e congruent to g mod p**f; the phase of that
+        value is read through the log tables as a numerator over the
+        component exponent L.
+        """
+        L = lcm_all(self.orders)
+        tabs = self.log_tables()
+        out = []
+        for g, m in zip(sub.generators, sub.orders):
+            num = sum(t * int(tab[g]) * (L // mi) for t, tab, mi in zip(exps, tabs, self.orders))
+            t1, rem = divmod(num * m, L)
+            if rem:  # pragma: no cover - the character does not factor through p**f
+                raise ArithmeticError("conductor phase not a root of unity of the right order")
+            out.append(t1 % m)
+        return out
+
 
 class CharacterGroup:
     """The full dual of (Z/nZ)*: exactly phi(n) characters, enumerated
-    lexicographically over exponent vectors."""
+    lexicographically over exponent vectors.
 
-    def __init__(self, n: int):
+    `components` is for `divisor_group`, which passes the components it
+    shares with a parent group; by default they are built from the
+    factorization of n.
+    """
+
+    def __init__(self, n: int, components: tuple[UnitGroupComponent, ...] | None = None):
         if n < 1:
             raise DomainError(f"need modulus >= 1, got {n}")
         self.n = n
-        self.components = tuple(UnitGroupComponent(p, e) for p, e in factorize(n).factors) if n > 1 else ()
+        if components is None:
+            components = tuple(UnitGroupComponent(p, e) for p, e in factorize(n).factors) if n > 1 else ()
+        self.components = components
         self.orders = tuple(m for c in self.components for m in c.orders)
         self.total_order = math.prod(self.orders)  # = phi(n)
         self.exponent = lcm_all(self.orders)
-        self._log_matrix: np.ndarray | None = None
-        self._unit_mask: np.ndarray | None = None
+        self._log_matrix: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
+        self._roots: np.ndarray | None = None
+        self._divisor_groups: dict[int, CharacterGroup] = {}
+
+    def divisor_group(self, q: int) -> "CharacterGroup":
+        """The character group mod a divisor q of n, built once per q.
+
+        It shares every component whose prime power q keeps whole, log
+        tables included, and factors nothing.
+        """
+        if q == self.n:
+            return self
+        sub = self._divisor_groups.get(q)
+        if sub is None:
+            if q < 1 or self.n % q:
+                raise DomainError(f"{q} does not divide {self.n}")
+            comps = []
+            for comp in self.components:
+                f = _valuation(q, comp.p)
+                if f == comp.e:
+                    comps.append(comp)
+                elif f:
+                    comps.append(UnitGroupComponent(comp.p, f))
+            sub = self._divisor_groups[q] = CharacterGroup(q, tuple(comps))
+        return sub
 
     def log_vector(self, w: int) -> tuple[int, ...] | None:
         """Discrete logs of w on every generator, or None when gcd(w, n) > 1."""
@@ -92,30 +182,33 @@ class CharacterGroup:
             r = w % comp.modulus
             if r % comp.p == 0:  # non-unit; matters when the block has no generators
                 return None
-            for tab in comp.log_tables():
-                a = int(tab[r])
-                if a < 0:  # pragma: no cover - p-divisibility already caught it
-                    return None
-                out.append(a)
+            out.extend(int(tab[r]) for tab in comp.log_tables())
         return tuple(out)
 
-    def log_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(logs, unit_mask): logs has one row per generator over all w in [0, n)."""
+    def log_matrix(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(logs, unit_mask): logs holds one int32 row per generator over all
+        w in [0, n), 0 on non-units.  When n is a prime power the rows are
+        the component's log tables themselves."""
         if self._log_matrix is None:
             w = np.arange(self.n, dtype=np.int64)
-            rows = []
+            rows: list[np.ndarray] = []
             mask = np.ones(self.n, bool)
             for comp in self.components:
-                r = w % comp.modulus
-                mask &= r % comp.p != 0
-                for tab in comp.log_tables():
-                    a = tab[r]
-                    rows.append(a)
-            logs = np.vstack(rows) if rows else np.zeros((0, self.n), np.int64)
-            logs[:, ~mask] = 0
-            self._log_matrix = logs
-            self._unit_mask = mask
-        return self._log_matrix, self._unit_mask
+                mask &= w % comp.p != 0
+                if comp.modulus == self.n:
+                    rows += comp.log_tables()
+                else:
+                    r = w % comp.modulus
+                    rows += (tab[r] for tab in comp.log_tables())
+            self._log_matrix = (tuple(rows), mask)
+        return self._log_matrix
+
+    def roots(self) -> np.ndarray:
+        """e(j/M) for j in [0, M), M the group exponent; built once."""
+        if self._roots is None:
+            M = self.exponent
+            self._roots = np.exp(2j * np.pi * np.arange(M) / M)
+        return self._roots
 
     def character(self, exponents) -> "DirichletCharacter":
         exps = tuple(int(t) % m for t, m in zip(exponents, self.orders, strict=True))
@@ -138,6 +231,24 @@ class CharacterGroup:
             exps.append(i % m)
             i //= m
         return DirichletCharacter(self, tuple(reversed(exps)))
+
+    def values_at(self, w: int) -> np.ndarray:
+        """chi(w) for every character, in index order."""
+        logs = self.log_vector(w % self.n)
+        if logs is None:
+            return np.zeros(self.total_order, np.complex128)
+        M = self.exponent
+        num = _over_characters(
+            np.arange(m, dtype=np.int64) * a % m * (M // m) for a, m in zip(logs, self.orders)
+        )
+        return self.roots()[num % M]
+
+    def power_indices(self, alpha: int) -> np.ndarray:
+        """Index of chi**alpha for every character index."""
+        strides = [math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))]
+        return _over_characters(
+            np.arange(m, dtype=np.int64) * alpha % m * s for m, s in zip(self.orders, strides)
+        )
 
     def value_matrix(self) -> np.ndarray:
         """phi(n) x n table of every character's values (suite-scale moduli only)."""
@@ -174,21 +285,13 @@ class DirichletCharacter:
     def order(self) -> int:
         return lcm_all(m // math.gcd(t, m) for t, m in zip(self.exponents, self.group.orders))
 
-    def phase(self, w: int) -> Fraction | None:
-        """Exact phase of the value at w (value = e(phase)), None on non-units."""
+    def __call__(self, w: int) -> complex:
         logs = self.group.log_vector(w % self.group.n)
         if logs is None:
-            return None
-        f = Fraction(0)
-        for t, a, m in zip(self.exponents, logs, self.group.orders):
-            f += Fraction(t * a, m)
-        return f % 1
-
-    def __call__(self, w: int) -> complex:
-        ph = self.phase(w)
-        if ph is None:
             return 0j
-        return cmath.exp(2j * cmath.pi * float(ph))
+        M = self.group.exponent
+        num = sum(t * a * (M // m) for t, a, m in zip(self.exponents, logs, self.group.orders)) % M
+        return cmath.exp(2j * cmath.pi * (num / M))
 
     def __pow__(self, alpha: int) -> "DirichletCharacter":
         if alpha < 0:
@@ -204,82 +307,43 @@ class DirichletCharacter:
         M = self.group.exponent
         num = np.zeros(self.group.n, np.int64)
         for t, m, row in zip(self.exponents, self.group.orders, logs):
-            num += (t * (M // m)) * row
+            if t:
+                # widened before the product: t * (M / m) * a reaches M * m
+                num += np.multiply(row, t * (M // m), dtype=np.int64)
         num %= M
-        roots = np.exp(2j * np.pi * np.arange(M) / M)
-        vals = roots[num]
+        vals = self.group.roots()[num]
         vals[~mask] = 0
         return vals
+
+    def _component_exponents(self):
+        """(component, its exponents, its conductor exponent f) per component."""
+        pos = 0
+        for comp in self.group.components:
+            exps = self.exponents[pos : pos + len(comp.orders)]
+            pos += len(comp.orders)
+            yield comp, exps, comp.conductor_exponent(exps)
 
     def conductor(self) -> tuple[int, "DirichletCharacter"]:
         """(q, primitive character mod q inducing this one).
 
-        q is found by testing each divisor of n in increasing order: the
-        character factors through mod q exactly when it is 1 on every unit
-        w = 1 (mod q).  For the trivial character this returns q = 1 and
+        q is the product over the components p**e of their conductors p**f
+        (`UnitGroupComponent.conductor_exponent`), O(#components).  The
+        inducing character lives on `group.divisor_group(q)`; its exponents
+        are this character's unchanged on components kept whole and
+        `UnitGroupComponent.induced_exponents` on the others.  A primitive
+        character returns itself; the trivial character returns q = 1 and
         the character of the trivial group.
         """
-        n = self.group.n
-        for q in divisors(n):
-            if self._factors_through(q):
-                sub = CharacterGroup(q)
-                exps = []
-                for comp in sub.components:
-                    for g, m in zip(comp.generators, comp.orders):
-                        ph = self.phase(self._unit_lift(g, comp.modulus, q))
-                        t = ph * m
-                        if t.denominator != 1:  # pragma: no cover - internal consistency
-                            raise ArithmeticError("conductor phase not a root of unity of the right order")
-                        exps.append(int(t) % m)
-                return q, DirichletCharacter(sub, tuple(exps))
-        raise ArithmeticError("no conductor found")  # pragma: no cover
-
-    def _factors_through(self, q: int) -> bool:
-        """True when the value at w depends only on w mod q, i.e. the
-        character is 1 on every unit congruent to 1 mod q."""
-        n = self.group.n
-        step = q if q > 1 else 1
-        for w in range(1, n, step):
-            if math.gcd(w, n) == 1 and self.phase(w) != 0:
-                return False
-        return True
-
-    def _unit_lift(self, target: int, comp_modulus: int, q: int) -> int:
-        """A residue coprime to n that is congruent to `target` mod the
-        component and 1 mod the rest of q."""
-        n = self.group.n
-        # CRT inside q: target on one component, 1 elsewhere
-        rest = q // comp_modulus
-        r = _crt(target, comp_modulus, 1, rest)
-        for w in range(r if r > 0 else q, n + q, q):
-            if math.gcd(w, n) == 1:
-                return w
-        raise ArithmeticError("no coprime lift found")  # pragma: no cover
+        parts = [part for part in self._component_exponents() if part[2]]
+        q = math.prod(comp.p**f for comp, _, f in parts)
+        if q == self.group.n:
+            return q, self
+        sub = self.group.divisor_group(q)
+        exps1: list[int] = []
+        for (comp, exps, _), comp1 in zip(parts, sub.components, strict=True):
+            exps1 += exps if comp1 is comp else comp.induced_exponents(exps, comp1)
+        return q, DirichletCharacter(sub, tuple(exps1))
 
     @property
     def is_primitive(self) -> bool:
-        return self.conductor()[0] == self.group.n
-
-
-def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
-    if m1 == 1:
-        return a2 % m2 if m2 > 1 else 0
-    if m2 == 1:
-        return a1 % m1
-    inv = pow(m1, -1, m2)
-    return (a1 + (a2 - a1) * inv % m2 * m1) % (m1 * m2)
-
-
-def evaluate(chi: DirichletCharacter, w: int) -> complex:
-    """Spec operation `evaluate`."""
-    return chi(w)
-
-
-def power(chi: DirichletCharacter, alpha: int) -> DirichletCharacter:
-    """Spec operation `power`."""
-    return chi**alpha
-
-
-def conductor(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
-    """Spec operation `conductor`."""
-    return chi.conductor()
+        return all(f == comp.e for comp, _, f in self._component_exponents())

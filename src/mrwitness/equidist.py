@@ -170,7 +170,8 @@ def scan(n_values, k_max: int = 10, bins: int | None = None,
     """One ScanRow per requested n, in input order.
 
     Per-n domain errors become rows with the `error` field set; the scan
-    continues.  Distinct n may be processed concurrently.
+    continues.  Any other error propagates, the first in input order,
+    whether or not distinct n are processed concurrently.
     """
     from .concurrency import thread_count
 
@@ -188,8 +189,9 @@ def scan(n_values, k_max: int = 10, bins: int | None = None,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, n in enumerate(n_values):
-                pool.submit(run, i, n)
+            futures = [pool.submit(run, i, n) for i, n in enumerate(n_values)]
+        for future in futures:
+            future.result()  # re-raise what a row raised, as the serial path does
     else:
         for i, n in enumerate(n_values):
             run(i, n)

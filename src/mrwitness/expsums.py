@@ -22,7 +22,7 @@ import numpy as np
 
 from . import witness as _witness
 from ._scan import pow_all_numpy
-from .arith import divisors, factorize, mobius
+from .arith import divisors, mobius
 from .characters import CharacterGroup, DirichletCharacter
 from .errors import DomainError
 from .witness import WitnessClass, classify_all, mr_decompose
@@ -122,8 +122,7 @@ class RamanujanSum:
 def ramanujan(n: int, k: int) -> RamanujanSum:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    g = math.gcd(n, k)
-    closed = sum(s * mobius(n // s) for s in divisors(g))
+    closed = ramanujan_closed(n, k)
     if n == 1:
         brute = _csum(1 + 0j, 1, 1)
         return RamanujanSum(1, k, closed, brute, _csum(0j, 0, 1))
@@ -222,7 +221,8 @@ class DualCancellation:
     """Direct enumeration vs character-orthogonality evaluation of the same sum.
 
     The orthogonality route averages chi(b^-1) * tau(chi^alpha, k) over all
-    characters mod n; it must agree with the direct route to 1e-6.
+    characters mod n, with every tau from one FFT (`gauss_sums`); it must
+    agree with the direct route to 1e-6.
     """
 
     direct: CancellationSum
@@ -233,21 +233,32 @@ class DualCancellation:
     TOLERANCE = 1e-6
 
 
+def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
+    """tau(chi, k) for every character of the group, in character-index
+    order, from one FFT.
+
+    In the exponents t, tau(chi_t, k) = sum over units w of
+    e(sum_i t_i a_i(w) / m_i) e(k w / n) is an inverse DFT over the
+    discrete-log grid of shape group.orders, on which each unit w sits at
+    its log vector a(w): tau = phi(n) * ifftn(grid).
+    """
+    n = group.n
+    logs, mask = group.log_matrix()
+    units = np.flatnonzero(mask)
+    flat = np.zeros(len(units), np.int64)
+    for m, row in zip(group.orders, logs):
+        flat = flat * m + row[units]
+    grid = np.zeros(group.total_order, np.complex128)
+    grid[flat] = _root_table(n)[(k % n) * units % n]
+    return group.total_order * np.fft.ifftn(grid.reshape(group.orders or (1,))).ravel()
+
+
 def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellation:
     direct = cancellation_sum(n, alpha, b, k)
     group = CharacterGroup(n)
-    phi = group.total_order
-    roots = _root_table(n)
-    ek = roots[(k % n) * np.arange(n, dtype=np.int64) % n]
-    taus = np.empty(phi, np.complex128)
-    chars = list(group.characters())
-    for i, chi in enumerate(chars):
-        taus[i] = (chi.value_table() * ek).sum()
-    binv = pow(b, -1, n)
-    acc = 0j
-    for chi in chars:
-        acc += chi(binv) * taus[(chi**alpha).index]
-    z = complex(acc / phi)
+    taus = gauss_sums(group, k)
+    chi_binv = group.values_at(pow(b, -1, n))
+    z = complex((chi_binv * taus[group.power_indices(alpha)]).sum()) / group.total_order
     via = _csum(z, n, n)
     diff = float(abs(z - direct.total.value))
     return DualCancellation(direct, via, diff, diff < DualCancellation.TOLERANCE)
@@ -345,12 +356,3 @@ def ramanujan_closed(n: int, k: int) -> int:
     """Integer value of the unit sum, sum over s | gcd(n, k) of s * mu(n/s)."""
     g = math.gcd(n, k)
     return sum(s * mobius(n // s) for s in divisors(g))
-
-
-def sigma_bound(n: int, k: int) -> int:
-    """Divisor-sum envelope sigma(gcd(n, k)) dominating |ramanujan_closed|."""
-    g = math.gcd(n, k)
-    total = 1
-    for p, e in factorize(g).factors:
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total

@@ -138,9 +138,6 @@ class ResidueScan:
     def members(self, category: WitnessClass) -> np.ndarray:
         return np.nonzero(self.codes == CLASS_TO_CODE[category])[0]
 
-    def stage_members(self, j: int) -> np.ndarray:
-        return np.nonzero(self.stages == j)[0]
-
 
 _BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus
 

@@ -69,6 +69,35 @@ class TestPowMod:
         assert arith.pow_mod(base, exp, mod) == slow_pow(base, exp, mod)
 
 
+class TestIsPrime:
+    PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+    PSI_13 = 3317044064679887385961981
+
+    def test_psi_12_passes_every_base_to_37(self):
+        # the regression: a strong pseudoprime to all of 2..37, caught by 41
+        n = self.PSI_12
+        assert 399165290221 * 798330580441 == n
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, d, n)
+            assert x in (1, n - 1) or n - 1 in (pow(x, 2**j, n) for j in range(1, s))
+        assert not arith.is_prime(n)
+        assert arith.is_prime(399165290221) and arith.is_prime(798330580441)
+
+    def test_refused_from_psi_13(self):
+        for n in (self.PSI_13, self.PSI_13 + 2, 2**89 - 1):
+            with pytest.raises(DomainError):
+                arith.is_prime(n)
+        assert not arith.is_prime(self.PSI_13 - 4)  # divisible by 3
+
+    def test_small_values(self):
+        assert [n for n in range(-3, 50) if arith.is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+        ]
+
+
 class TestFactorize:
     @pytest.mark.parametrize(
         "n,expected",

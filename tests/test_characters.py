@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrwitness.arith import euler_phi
-from mrwitness.characters import character_group
+from mrwitness.arith import divisors, euler_phi
+from mrwitness.characters import CharacterGroup, character_group
 from mrwitness.errors import DomainError
 
 
@@ -92,6 +93,18 @@ class TestEvaluation:
                 for w in range(n):
                     assert table[w] == pytest.approx(chi(w), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [65521, 65537])
+    def test_value_table_matches_scalar_past_int32(self, n):
+        # t * a reaches 2**32, past the int32 log tables; at n = 65521 the
+        # exponent M = 65520 does not divide 2**32, so a wrapped product
+        # would also change the value mod M
+        g = character_group(n)
+        for t in (3, 40001, n - 2):
+            chi = g.character((t,))
+            table = chi.value_table()
+            for w in range(n):
+                assert abs(table[w] - chi(w)) < 1e-12
+
 
 class TestPower:
     def test_zero_power_is_trivial(self):
@@ -150,6 +163,57 @@ class TestConductor:
                     assert chi(w) == pytest.approx(chi1(w), abs=1e-12)
             # the inducing character is itself primitive
             assert chi1.conductor()[0] == q
+
+
+def brute_conductors(n: int):
+    """Divisor-search oracle for every character mod n, in index order:
+    (q, exponents mod q), q the least divisor of n such that the character
+    is 1 on every unit w = 1 (mod q), the exponents read from its phases at
+    coprime lifts of the generators mod q (CRT: the generator on its own
+    prime power, 1 on the rest of q)."""
+    g = CharacterGroup(n)
+    logs, mask = g.log_matrix()
+    M = g.exponent
+    exps = np.array(list(itertools.product(*(range(m) for m in g.orders))), np.int64)
+    weights = np.array([M // m for m in g.orders], np.int64)
+    phases = (exps * weights).reshape(len(exps), -1) @ np.array(logs, np.int64).reshape(-1, n) % M
+    conductor = np.zeros(len(exps), np.int64)
+    for q in reversed(divisors(n)):
+        ones = [w for w in range(1, n, q) if mask[w]]
+        conductor[(phases[:, ones] == 0).all(axis=1)] = q
+    out = []
+    for i, q in enumerate(conductor.tolist()):
+        sub = CharacterGroup(q)
+        exps1 = []
+        for comp in sub.components:
+            rest = q // comp.modulus
+            for gen, m in zip(comp.generators, comp.orders):
+                r = next(x for x in range(q) if x % comp.modulus == gen and x % rest == 1 % rest)
+                w = next(w for w in range(r, n + q, q) if math.gcd(w, n) == 1) % n
+                t, rem = divmod(int(phases[i, w]) * m, M)
+                assert rem == 0
+                exps1.append(t)
+        out.append((q, tuple(exps1)))
+    return out
+
+
+class TestClosedFormConductor:
+    def test_matches_divisor_search(self):
+        for n in range(2, 301):
+            g = character_group(n)
+            for chi, (q, exps1) in zip(g.characters(), brute_conductors(n), strict=True):
+                got_q, chi1 = chi.conductor()
+                assert (got_q, chi1.modulus, chi1.exponents) == (q, q, exps1), (n, chi.exponents)
+                assert chi.is_primitive == (q == n)
+
+    def test_divisor_groups_built_once(self):
+        g = character_group(360)
+        q, chi1 = g.character((1, 0, 3, 0)).conductor()
+        assert q == 12 and chi1.group is g.divisor_group(12)
+        assert g.divisor_group(360) is g
+        assert g.divisor_group(45).components == g.components[1:]  # shared, not rebuilt
+        with pytest.raises(DomainError):
+            g.divisor_group(7)
 
 
 class TestIndexing:

@@ -161,6 +161,19 @@ class TestScan:
             assert ra.star_discrepancy == rb.star_discrepancy
             assert ra.weyl_ratios == rb.weyl_ratios
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_errors_propagate(self, workers, monkeypatch):
+        original = equidist.scan_row
+
+        def scan_row(n, *args):
+            if n == 21:
+                raise ArithmeticError(f"row {n} failed")
+            return original(n, *args)
+
+        monkeypatch.setattr(equidist, "scan_row", scan_row)
+        with pytest.raises(ArithmeticError, match="row 21 failed"):
+            equidist.scan([9, 15, 21, 25, 27], k_max=2, max_workers=workers)
+
     def test_least_odd_composite(self):
         assert equidist.least_odd_composite_at_least(3) == 9
         assert equidist.least_odd_composite_at_least(9) == 9

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,26 @@ class TestGaussSums:
         chi = g.character(exps)
         oracle = sum(chi(w) * e(k * w / n) for w in range(n))
         assert expsums.gauss_sum_brute(chi, k).value == pytest.approx(oracle, abs=1e-9)
+
+class TestGaussSumsFFT:
+    # a prime, an odd prime power, 2**3 * 45, and four primes
+    @pytest.mark.parametrize("n", [1009, 625, 360, 1155])
+    def test_every_character_matches_brute(self, n):
+        g = character_group(n)
+        for k in (1, 15, n):
+            taus = expsums.gauss_sums(g, k)
+            assert len(taus) == g.total_order
+            for chi in g.characters():
+                brute = expsums.gauss_sum_brute(chi, k)
+                assert abs(taus[chi.index] - brute.value) <= brute.error_budget, (chi.exponents, k)
+
+    def test_power_indices_and_values_at(self):
+        g = character_group(360)
+        for alpha in (0, 2, 3, 7):
+            assert g.power_indices(alpha).tolist() == [(chi**alpha).index for chi in g.characters()]
+        for w in (1, 7, 11, 359, 6):
+            assert np.abs(g.values_at(w) - [chi(w) for chi in g.characters()]).max() < 1e-12
+
 
 class TestCancellation:
     def test_alpha_one_single_solution(self):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from mrwitness import _scan, suites
+from mrwitness import _scan, characters, suites
 
 
 def _partition(n_max):
@@ -50,3 +50,24 @@ def test_partition_catches_a_moved_stage(monkeypatch):
     _corrupt_engine(monkeypatch, _stage_moved)
     r = _partition(301)
     assert not r.ok and r.failures > 0
+
+
+def test_imprimitive_passes():
+    (r,) = suites.suite_imprimitive(40, 9)
+    assert r.ok and r.failures == 0 and r.checked > 0
+
+
+def test_imprimitive_catches_a_wrong_reduction(monkeypatch):
+    """An inducing character replaced by the trivial one breaks the reduced
+    path, which is now a hard check wherever every prime of n/q divides q
+    (n = 9, q = 3, k = 3 among others); the vanishing path is untouched."""
+    original = characters.DirichletCharacter.conductor
+
+    def conductor(self):
+        q, chi1 = original(self)
+        return q, chi1.group.trivial
+
+    monkeypatch.setattr(characters.DirichletCharacter, "conductor", conductor)
+    (r,) = suites.suite_imprimitive(40, 9)
+    assert not r.ok and r.failures > 0
+    assert all(f["path"] == "reduced" for f in r.findings if f["zero_sets_match"])
