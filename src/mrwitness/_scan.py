@@ -14,7 +14,7 @@ j < min v2(p_i - 1).  Both sets are CRT products of per-component power
 tables, so the cost is O(n) byte writes plus the size of the liar set.
 
 `scan_numpy` is the independent pow route: w**d mod n for every w by
-vectorized square-and-multiply, then the squaring stages.
+blocked, vectorized square-and-multiply, then the squaring stages.
 
 Class codes: 0 witness, 1 shares a factor with n, 2 d-th root of unity,
 3 reaches -1 at some squaring stage.  Each engine also reports `overlap`,
@@ -36,6 +36,8 @@ CODE_WITNESS = 0
 CODE_NON_COPRIME = 1
 CODE_DTH_ROOT = 2
 CODE_MINUS_ONE = 3
+
+_POW_BLOCK = 1 << 14  # residues per block of pow_all_numpy: 128 KiB per int64 buffer
 
 
 @lru_cache(maxsize=1 << 14)
@@ -120,20 +122,48 @@ def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
     return codes, stages, counts, overlap
 
 
+def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:
+    """p -= (p // n) * n in place, using quot as scratch.
+
+    Exact for 0 <= p < 2**63; numpy divides by a scalar through a
+    precomputed multiplicative inverse (Granlund and Montgomery 1994),
+    several times faster than `%`.
+    """
+    np.floor_divide(p, n, out=quot)
+    quot *= n
+    p -= quot
+
+
 def pow_all_numpy(n: int, exponent: int) -> np.ndarray:
-    """w**exponent mod n for every w in [0, n), by vectorized square-and-multiply."""
-    base = np.arange(n, dtype=np.int64)
-    out = np.ones(n, np.int64)
-    out %= n
-    e = exponent
-    while e > 0:
-        if e & 1:
-            out *= base
-            out %= n
-        e >>= 1
-        if e:
-            base *= base
-            base %= n
+    """w**exponent mod n for every w in [0, n), by vectorized left-to-right
+    square-and-multiply.
+
+    Requires 1 <= n < 2**31: every product of two residues is below
+    2**62, so the floor-divide reduction is exact.  The residues are walked
+    in blocks of _POW_BLOCK, every exponent bit applied to one block before
+    the next, so the multiply-reduce passes touch three block-sized buffers
+    that stay in cache instead of streaming n-sized arrays through memory
+    once per bit.
+    """
+    out = np.empty(n, np.int64)
+    if exponent == 0:
+        out[:] = 1 % n
+        return out
+    bits = bin(exponent)[3:]  # after the leading 1, which sets out = w
+    ramp = np.arange(min(n, _POW_BLOCK), dtype=np.int64)
+    base = np.empty_like(ramp)
+    quot = np.empty_like(ramp)
+    for lo in range(0, n, _POW_BLOCK):
+        m = min(_POW_BLOCK, n - lo)
+        w, q, acc = base[:m], quot[:m], out[lo : lo + m]
+        np.add(ramp[:m], lo, out=w)
+        acc[:] = w
+        for bit in bits:
+            acc *= acc
+            _reduce(acc, n, q)
+            if bit == "1":
+                acc *= w
+                _reduce(acc, n, q)
     return out
 
 

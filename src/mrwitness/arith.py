@@ -193,17 +193,7 @@ class MultiplicativeFunctions:
 
 def multiplicative_functions(n: int) -> MultiplicativeFunctions:
     """Euler phi, Mobius mu, and the sorted divisor list of n in one call."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    fac = factorize(n)
-    phi = 1
-    for p, e in fac.factors:
-        phi *= p ** (e - 1) * (p - 1)
-    mu = 0 if any(e > 1 for _, e in fac.factors) else (-1 if len(fac.factors) % 2 else 1)
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return MultiplicativeFunctions(phi, mu, tuple(sorted(divs)))
+    return MultiplicativeFunctions(euler_phi(n), mobius(n), tuple(divisors(n)))
 
 
 def primitive_root(p: int, e: int) -> tuple[tuple[int, int], ...]:

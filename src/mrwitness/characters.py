@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -255,7 +256,10 @@ class CharacterGroup:
         return np.vstack([chi.value_table() for chi in self.characters()])
 
 
+@lru_cache(maxsize=8)
 def character_group(n: int) -> CharacterGroup:
+    """The character group mod n >= 2, shared by callers of the same n while
+    it stays among the 8 most recently used moduli."""
     if n < 2:
         raise DomainError(f"need modulus >= 2, got {n}")
     return CharacterGroup(n)

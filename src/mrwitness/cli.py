@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import equidist, expsums, suites
+from .arith import is_prime
 from .characters import character_group
 from .concurrency import set_thread_count
 from .errors import DomainError
@@ -295,7 +296,7 @@ def parse_config(path: str) -> ExperimentConfig:
                     cfg.n_values = [
                         n
                         for n in range(lo_i | 1, hi_i + 1, 2)
-                        if not _is_prime_cached(n) and n >= 9
+                        if not is_prime(n) and n >= 9
                     ]
                     seen_source = key
                 elif key == "k_max":
@@ -325,12 +326,6 @@ def parse_config(path: str) -> ExperimentConfig:
 
 class ConfigError(Exception):
     pass
-
-
-def _is_prime_cached(n: int) -> bool:
-    from .arith import is_prime
-
-    return is_prime(n)
 
 
 def _scan_header(k_max: int) -> list[str]:

@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import witness as _witness
-from ._scan import pow_all_numpy
+from ._scan import _reduce, pow_all_numpy
 from .arith import divisors, mobius
-from .characters import CharacterGroup, DirichletCharacter
+from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import DomainError
 from .witness import WitnessClass, classify_all, mr_decompose
 
@@ -70,9 +70,34 @@ def _check_k(n: int, k: int) -> int:
 
 
 def _phase_sum(residues: np.ndarray, k: int, n: int) -> complex:
+    """Sum of e(k*w/n) over the residues w in [0, n).
+
+    The index (k mod n) * w is below n**2 < 2**62 for n < 2**31, so the
+    floor-divide reduction is exact and gives the same indices as `%`.
+    """
     if len(residues) == 0:
         return 0j
-    return complex(_root_table(n)[(k % n) * residues % n].sum())
+    idx = (k % n) * residues
+    _reduce(idx, n, np.empty_like(idx))
+    return complex(_root_table(n)[idx].sum())
+
+
+def _phase_sums(residues: np.ndarray, k_max: int, n: int) -> list[complex]:
+    """[_phase_sum(residues, k, n) for k = 1..k_max], equal bit for bit.
+
+    The index k*w mod n is carried from one k to the next: adding w < n to
+    an index below n and subtracting n where the sum reaches n keeps it
+    exact with no division.  Each k then gathers the same table entries in
+    the same order as _phase_sum and sums them the same way.
+    """
+    table = _root_table(n)
+    idx = np.zeros(len(residues), np.int64)
+    out = []
+    for _ in range(k_max):
+        idx += residues
+        np.subtract(idx, n, out=idx, where=idx >= n)
+        out.append(complex(table[idx].sum()))
+    return out
 
 
 _SELECTOR_ALIASES = {
@@ -255,7 +280,7 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
 
 def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellation:
     direct = cancellation_sum(n, alpha, b, k)
-    group = CharacterGroup(n)
+    group = character_group(n)
     taus = gauss_sums(group, k)
     chi_binv = group.values_at(pow(b, -1, n))
     z = complex((chi_binv * taus[group.power_indices(alpha)]).sum()) / group.total_order
@@ -312,7 +337,8 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
         stage_sets.append(sols[~dup])
         seen[sols] = True
         if j + 1 < dec.s:
-            x = x * x % n
+            x = x * x
+            _reduce(x, n, np.empty_like(x))
     witnesses = scan.witnesses
     nonwitnesses = np.nonzero(scan.codes != _witness.CLASS_TO_CODE[WitnessClass.WITNESS])[0]
     noncoprime_count = scan.counts.non_coprime
