@@ -58,7 +58,6 @@ from .witness import (
     bound_report,
     classify,
     classify_all,
-    enumerate_witnesses,
     least_witness,
     mr_decompose,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "decomposition_report",
     "decomposition_reports",
     "divisors",
-    "enumerate_witnesses",
     "euler_phi",
     "factorize",
     "gauss_sum_brute",

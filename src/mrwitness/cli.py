@@ -19,7 +19,7 @@ from .arith import is_prime
 from .characters import character_group
 from .concurrency import set_thread_count
 from .errors import DomainError
-from .witness import bound_report, classify, enumerate_witnesses, mr_decompose
+from .witness import bound_report, classify, classify_all, mr_decompose
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -95,7 +95,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_witnesses(args) -> int:
-    scan = enumerate_witnesses(args.n)
+    scan = classify_all(args.n)
     counts = scan.counts
     if counts.witness == 0:
         raise DomainError("n is prime: witness set empty" if counts.non_coprime <= 1

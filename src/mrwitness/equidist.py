@@ -8,6 +8,7 @@ equidistribution.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .arith import is_prime
 from .errors import DomainError
 from .expsums import _phase_sums
-from .witness import classify_all, least_witness
+from .witness import ResidueScan, classify_all, least_witness
 
 _INT64_MAX = 2**62
 
@@ -35,7 +36,24 @@ class HistogramReport:
     chi_square_like: float
 
 
+def _bin_counts(scan: ResidueScan, bins: int) -> np.ndarray:
+    """Witnesses per bin, bin of w = floor(bins * w / n), from the non-witnesses.
+
+    Bin b holds the residues ceil(b * n / bins) <= w < ceil((b + 1) * n / bins)
+    (integer arithmetic: no float boundary wobble); the non-witnesses in it
+    are subtracted.  Needs n * bins < 2**62.
+    """
+    n = scan.n
+    edges = -(-np.arange(bins + 1, dtype=np.int64) * n // bins)  # ceil(b * n / bins)
+    return np.diff(edges) - np.bincount(scan.nonwitnesses * bins // n, minlength=bins)
+
+
 def histogram(n: int, bin_count: int) -> HistogramReport:
+    """Witness counts per bin of [0, 1), with their deviations from the mean.
+
+    Bin sizes are closed-form; only the non-witnesses (liars and residues
+    sharing a factor with n, about n - phi(n) + #liars) are visited.
+    """
     if bin_count < 1:
         raise DomainError(f"need at least one bin, got {bin_count}")
     if is_prime(n):
@@ -43,10 +61,8 @@ def histogram(n: int, bin_count: int) -> HistogramReport:
     if n * bin_count >= _INT64_MAX:
         raise DomainError("n * bin_count too large for exact integer binning")
     scan = classify_all(n)
-    ws = scan.witnesses
-    # integer bin rule: no float boundary wobble
-    counts = np.bincount(ws * bin_count // n, minlength=bin_count)
-    total = int(len(ws))
+    counts = _bin_counts(scan, bin_count)
+    total = scan.counts.witness
     mean = total / bin_count
     dev = float(np.abs(counts - mean).max())
     chi2 = float(((counts - mean) ** 2 / mean).sum()) if mean > 0 else 0.0
@@ -65,16 +81,22 @@ def histogram(n: int, bin_count: int) -> HistogramReport:
 def interval_fraction(n: int, a: float, b: float) -> tuple[float, float]:
     """(fraction of witnesses with a <= w/n <= b, |fraction - (b - a)|).
 
-    The interval is closed; boundary hits count in.
+    The interval is closed; boundary hits count in.  A residue w is inside
+    when w >= a * n and w <= b * n in float64, that is for integer w in
+    [ceil(a * n), floor(b * n)]; the witnesses inside are that range's size
+    minus the non-witnesses passing the same two float comparisons.
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
     scan = classify_all(n)
-    ws = scan.witnesses
-    if len(ws) == 0:
+    total = scan.counts.witness
+    if total == 0:
         raise DomainError(f"{n} has no witnesses")
-    inside = int(np.count_nonzero((ws >= a * n) & (ws <= b * n)))
-    fraction = inside / len(ws)
+    lo, hi = a * n, b * n
+    span = max(0, min(n - 1, math.floor(hi)) - max(0, math.ceil(lo)) + 1)
+    nw = scan.nonwitnesses
+    inside = span - int(np.count_nonzero((nw >= lo) & (nw <= hi)))
+    fraction = inside / total
     return fraction, abs(fraction - (b - a))
 
 
@@ -93,16 +115,36 @@ def _star_discrepancy_sorted(x: np.ndarray) -> float:
     return float(np.maximum(i / N - x, x - (i - 1) / N).max())
 
 
-def star_discrepancy(n: int) -> float:
-    """D* of the normalized witness set of n.
-
-    The witnesses come ascending from np.nonzero, and w/n is strictly
-    increasing in w for n < 2**31 (distinct doubles), so no sort is needed.
-    """
-    scan = classify_all(n)
-    if scan.counts.witness == 0:
+def _witness_discrepancy(scan: ResidueScan) -> float:
+    """D* of {w / n : w a witness}, from the two ends of each run of
+    consecutive witnesses; see star_discrepancy."""
+    n, N = scan.n, scan.counts.witness
+    if N == 0:
         raise DomainError(f"{n} has no witnesses")
-    return _star_discrepancy_sorted(scan.witnesses / n)
+    fences = np.concatenate(([-1], scan.nonwitnesses, [n]))
+    gap = np.flatnonzero(np.diff(fences) > 1)  # a run lies between fences gap, gap + 1
+    first = fences[gap] + 1
+    last = fences[gap + 1] - 1
+    # witness w of that run has rank i = w + 1 - gap: `gap` non-witnesses lie below it
+    return float(max(((last + 1 - gap) / N - last / n).max(), (first / n - (first - gap) / N).max()))
+
+
+def star_discrepancy(n: int) -> float:
+    """D* of the normalized witness set of n: the maximum over the witnesses
+    w_1 < ... < w_N of i/N - w_i/n and w_i/n - (i-1)/N, equal as a float to
+    star_discrepancy_points(witnesses / n).
+
+    Only the two ends of each run of consecutive witnesses are evaluated.
+    Along a run w and i both step by 1, so i/N - w/n rises and
+    w/n - (i-1)/N falls by (n - N) / (n N) per step: the first peaks at
+    the run's last witness, the second at its first.  This holds for the
+    floats too.  N excludes every residue sharing a factor with composite
+    n, so n - N >= n - phi(n) >= sqrt(n) and each step is at least
+    n**-1.5 > 2**-46.5 for n < 2**31, far above the rounding of either
+    term (a few units of 2**-53), so the computed values are strictly
+    monotone within a run and the two maxima are the same floats.
+    """
+    return _witness_discrepancy(classify_all(n))
 
 
 @dataclass(frozen=True)
@@ -146,18 +188,16 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     max|count - mean| / mean without a second classification pass."""
     t0 = time.perf_counter()
     full = classify_all(n)
+    dstar = _witness_discrepancy(full)
     ws = full.witnesses
     count = len(ws)
-    if count == 0:
-        raise DomainError(f"{n} has no witnesses")
-    dstar = _star_discrepancy_sorted(ws / n)
     ratios = tuple(abs(z) / count for z in _phase_sums(ws, k_max, n))
     lw, _ = least_witness(n)
     flatness = None
     if bins is not None:
         if bins < 1:
             raise DomainError(f"need at least one bin, got {bins}")
-        counts = np.bincount(ws * bins // n, minlength=bins)
+        counts = _bin_counts(full, bins)
         mean = count / bins
         flatness = float(np.abs(counts - mean).max() / mean) if mean > 0 else 0.0
     ms = (time.perf_counter() - t0) * 1000.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import witness as _witness
 from ._scan import _reduce, pow_all_numpy
-from .arith import divisors, mobius
+from .arith import divisors, factorize, mobius
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import DomainError
 from .witness import WitnessClass, classify_all, mr_decompose
@@ -211,6 +211,27 @@ def gauss_sum_reduced(chi: DirichletCharacter, k: int) -> GaussReduction:
     return GaussReduction(n, k, q, path, value, brute, diff, diff < GaussReduction.TOLERANCE)
 
 
+def _components(n: int) -> list[int]:
+    """The prime powers q || n, largest first."""
+    return sorted((p**e for p, e in factorize(n).factors), reverse=True)
+
+
+def _solutions(n: int, tables) -> np.ndarray:
+    """The w in [0, n), ascending, with mask[w % q] true for every (q, mask).
+
+    tables: one (q, mask) per prime power q || n, largest q first, mask a
+    bool array of length q; by CRT the set is their product.  Candidates
+    w = r + q0 * t run over the members r of the largest component and all
+    t < n / q0, laid out t-major so that they come ascending, and are
+    sieved through the other components' masks.
+    """
+    q0, mask0 = tables[0]
+    cand = (np.arange(0, n, q0, dtype=np.int64)[:, None] + np.flatnonzero(mask0)).ravel()
+    for q, mask in tables[1:]:
+        cand = cand[mask[cand % q]]
+    return cand
+
+
 @dataclass(frozen=True)
 class CancellationSum:
     """Sum of e(k*w/n) over the units solving w**alpha = b mod n."""
@@ -226,6 +247,9 @@ class CancellationSum:
 
 
 def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
+    """The solutions, ascending, are the CRT product of those mod each prime
+    power q || n, found from w**alpha mod q for every residue of q
+    (`_solutions`)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if alpha < 1:
@@ -235,7 +259,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     _check_k(n, k)
     if n >= _witness._BATCH_LIMIT:
         raise DomainError(f"solution enumeration supports n < 2**31, got {n}")
-    sols = np.nonzero(pow_all_numpy(n, alpha) == b % n)[0]
+    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(n)])
     z = _phase_sum(sols, k, n)
     total = _csum(z, len(sols), n)
     return CancellationSum(n, alpha, b, k, total, len(sols), total.magnitude() / math.sqrt(n), sols)
@@ -320,27 +344,38 @@ def decomposition_report(n: int, k: int) -> DecompositionReport:
 
 
 def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
-    """Reports for several frequencies sharing one classification scan."""
+    """Reports for several frequencies sharing one classification scan.
+
+    The witness sum is term by term over the witnesses and the non-witness
+    sum over the other residues, both from the scan.  The d-th-root and
+    per-stage sets are solved per prime power q || n instead: w**d mod q
+    for every residue of each component, squared once per stage, and the
+    sets of n assembled by `_solutions`.  That route shares only
+    `factorize` with the classifier (no generator, no CRT idempotent), so
+    the partition residual compares two independent constructions, and
+    costs O(sum of q) plus the candidates of the largest component rather
+    than O(n) pow evaluations.
+    """
     dec = mr_decompose(n)
     scan = classify_all(n)
-    # solution-set route, independent of the classifier's subgroup construction
-    powd = pow_all_numpy(n, dec.d)
-    root_solutions = np.nonzero(powd == 1)[0]
+    comps = _components(n)
+    powers = [pow_all_numpy(q, dec.d) for q in comps]
+    root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
     stage_sets: list[np.ndarray] = []
     seen = np.zeros(n, bool)
     duplicates = 0
-    x = powd
     for j in range(dec.s):
-        sols = np.nonzero(x == n - 1)[0]
+        sols = _solutions(n, [(q, x == q - 1) for q, x in zip(comps, powers)])
         dup = seen[sols]
         duplicates += int(dup.sum())
         stage_sets.append(sols[~dup])
         seen[sols] = True
         if j + 1 < dec.s:
-            x = x * x
-            _reduce(x, n, np.empty_like(x))
+            for q, x in zip(comps, powers):
+                x *= x
+                _reduce(x, q, np.empty_like(x))
     witnesses = scan.witnesses
-    nonwitnesses = np.nonzero(scan.codes != _witness.CLASS_TO_CODE[WitnessClass.WITNESS])[0]
+    nonwitnesses = scan.nonwitnesses
     noncoprime_count = scan.counts.non_coprime
 
     out = []

@@ -135,6 +135,12 @@ class ResidueScan:
     def witnesses(self) -> np.ndarray:
         return np.nonzero(self.codes == _scan.CODE_WITNESS)[0]
 
+    @cached_property
+    def nonwitnesses(self) -> np.ndarray:
+        """The residues of the other three classes, ascending: the few
+        that witness-set statistics are computed from."""
+        return np.flatnonzero(self.codes != _scan.CODE_WITNESS)
+
     def members(self, category: WitnessClass) -> np.ndarray:
         return np.nonzero(self.codes == CLASS_TO_CODE[category])[0]
 
@@ -162,11 +168,6 @@ def classify_all(n: int, engine: str = "auto") -> ResidueScan:
         raise DomainError(f"unknown engine {engine!r}; expected 'auto' or 'numpy'")
     cc = ClassCounts(*(int(c) for c in counts))
     return ResidueScan(n, dec.d, dec.s, codes, stages, cc, int(overlap))
-
-
-def enumerate_witnesses(n: int) -> ResidueScan:
-    """Spec operation `enumerate`: witnesses in ascending order plus class totals."""
-    return classify_all(n)
 
 
 def _strong_test_fails(n: int, d: int, s: int, a: int) -> bool:

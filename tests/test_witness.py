@@ -77,7 +77,7 @@ class TestClassify:
 
 class TestEnumerate:
     def test_mod_9_sets(self):
-        scan = witness.enumerate_witnesses(9)
+        scan = witness.classify_all(9)
         assert list(scan.witnesses) == [2, 4, 5, 7]
         assert list(scan.members(WitnessClass.NON_COPRIME)) == [0, 3, 6]
         assert list(scan.members(WitnessClass.DTH_ROOT)) == [1]
@@ -85,10 +85,10 @@ class TestEnumerate:
         assert scan.counts.total == 9 and scan.overlap == 0
 
     def test_prime_has_no_witnesses(self):
-        assert witness.enumerate_witnesses(7).counts.witness == 0
+        assert witness.classify_all(7).counts.witness == 0
 
     def test_figure_n_counts(self):
-        scan = witness.enumerate_witnesses(1056331)
+        scan = witness.classify_all(1056331)
         c = scan.counts
         assert c.total == 1056331
         # frozen from two independent scan engines
