@@ -2,10 +2,10 @@
 
 Both engines classify every residue of [0, n) for odd n < 2**31.
 
-`scan_subgroups` (the default) builds the strong liars instead of testing
-for them (Rabin 1980; Monier 1980).  Each unit group mod p**e || n is
-cyclic with generator g, and there the level-t set
-{x : x**(d * 2**t) = 1} is the subgroup of order
+`scan_subgroups`, the engine behind `witness.classify_all`, builds the
+strong liars instead of testing for them (Rabin 1980; Monier 1980).  Each
+unit group mod p**e || n is cyclic with generator g, and there the level-t
+set {x : x**(d * 2**t) = 1} is the subgroup of order
 gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n is a d-th root of unity
 exactly when every component lies at level 0, and reaches -1 at stage j
 exactly when every component lies at level j + 1 but not at level j: the
@@ -13,8 +13,9 @@ odd powers of the level-(j + 1) generator.  Such units exist only for
 j < min v2(p_i - 1).  Both sets are CRT products of per-component power
 tables, so the cost is O(n) byte writes plus the size of the liar set.
 
-`scan_numpy` is the independent pow route: w**d mod n for every w by
-blocked, vectorized square-and-multiply, then the squaring stages.
+`scan_numpy` is the independent pow route that the tests compare it with:
+w**d mod n for every w by blocked, vectorized square-and-multiply, then the
+squaring stages.
 
 Class codes: 0 witness, 1 shares a factor with n, 2 d-th root of unity,
 3 reaches -1 at some squaring stage.  Each engine also reports `overlap`,

@@ -251,10 +251,6 @@ class CharacterGroup:
             np.arange(m, dtype=np.int64) * alpha % m * s for m, s in zip(self.orders, strides)
         )
 
-    def value_matrix(self) -> np.ndarray:
-        """phi(n) x n table of every character's values (suite-scale moduli only)."""
-        return np.vstack([chi.value_table() for chi in self.characters()])
-
 
 @lru_cache(maxsize=8)
 def character_group(n: int) -> CharacterGroup:

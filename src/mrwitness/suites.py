@@ -4,8 +4,8 @@ check, runnable from the CLI (`verify --suite NAME`) or from tests.
 A suite returns one or more SuiteResults.  `hard` marks suites whose
 failures are defects; soft suites record findings (observed violations of
 literature bounds, reduction-formula disagreements) that are deliverables
-rather than errors.  Suites that share an expensive scan are computed
-together and cached within a single `run_suites` call.
+rather than errors.  A suite function that shares one expensive scan
+between several results runs once per `run_suites` call.
 """
 
 from __future__ import annotations
@@ -173,13 +173,13 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
 def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
-    partition: for every odd n in [3, n_max] the default engine's codes,
+    partition: for every odd n in [3, n_max] the codes of `classify_all`,
     stages and counts are the true partition of [0, n), checked by routes
     that do not share its construction: per-class and per-stage counts
     against Monier's closed form from the factorization, and a vectorized
     pow re-check of every residue coded as a liar (composite n) or of 1,
     n - 1 and a seeded sample of at most 64 units (prime n, where a full
-    re-check would be the whole pow scan).  The engine's overlap count is
+    re-check would be the whole pow scan).  The scan's overlap count is
     0, 1 is a d-th root, n-1 hits -1 at stage 0, and odd primes have no
     witnesses.  Hard.
 
@@ -357,7 +357,8 @@ def _first_coprime_ks(n: int, how_many: int) -> list[int]:
 @_timed
 def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[SuiteResult]:
     """| |tau(chi, k)| - sqrt(n) | < 1e-6 for every primitive character mod
-    n <= n_max, at the k_count smallest frequencies coprime to n.  Hard.
+    n <= n_max, at the k_count smallest frequencies coprime to n, with every
+    tau from the FFT route `expsums.gauss_sums`.  Hard.
     (For gcd(k, n) = 1 the magnitude is k-independent; several k are still
     checked rather than assumed.)"""
     failures = 0
@@ -365,21 +366,13 @@ def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[Su
     worst = 0.0
     for n in range(3, n_max + 1):
         group = CharacterGroup(n)
-        ks = _first_coprime_ks(n, k_count)
-        arange = np.arange(n, dtype=np.int64)
-        eks = [expsums._root_table(n)[k * arange % n] for k in ks]
+        primitive = np.array([chi.is_primitive for chi in group.characters()])
         root_n = math.sqrt(n)
-        for chi in group.characters():
-            if not chi.is_primitive:
-                continue
-            table = chi.value_table()
-            for ek in eks:
-                tau = abs((table * ek).sum())
-                dev = abs(tau - root_n)
-                worst = max(worst, dev)
-                checked += 1
-                if dev >= GAUSS_TOL:
-                    failures += 1
+        for k in _first_coprime_ks(n, k_count):
+            dev = np.abs(np.abs(expsums.gauss_sums(group, k)[primitive]) - root_n)
+            worst = max(worst, float(dev.max(initial=0.0)))
+            checked += len(dev)
+            failures += int(np.count_nonzero(~(dev < GAUSS_TOL)))
     return [
         SuiteResult(
             "gauss-primitive",
@@ -434,6 +427,16 @@ def suite_cancellation_dual(n_max: int = DUAL_N_MAX, pairs: int = DUAL_PAIRS) ->
     ]
 
 
+def _prime_sieve(n_max: int) -> np.ndarray:
+    """Primality of every integer in [0, n_max], by the sieve of Eratosthenes."""
+    sieve = np.ones(n_max + 1, bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n_max) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
+
+
 @_timed
 def suite_bach(n_max: int = BACH_N_MAX) -> list[SuiteResult]:
     """least witness <= 2 (ln n)^2 for every odd composite n <= n_max.
@@ -442,11 +445,7 @@ def suite_bach(n_max: int = BACH_N_MAX) -> list[SuiteResult]:
     checked = 0
     max_lw = 0
     max_ratio = 0.0
-    sieve = np.ones(n_max + 1, bool)
-    sieve[:2] = False
-    for p in range(2, int(n_max**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
+    sieve = _prime_sieve(n_max)
     for n in range(9, n_max + 1, 2):
         if sieve[n]:
             continue
@@ -565,25 +564,37 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
 
 @_timed
 def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K_MAX) -> list[SuiteResult]:
-    """Conductor-based reduction vs brute force for every nontrivial
-    imprimitive character mod n <= n_max and k <= k_max.
+    """Conductor-based reduction vs the unreduced sum for every nontrivial
+    imprimitive character mod n <= n_max and k <= k_max, both sides from
+    `expsums.gauss_sums` (one FFT per k mod n, one per (q, k/l) mod q).
+    So that the FFT is never checked only against itself, one seeded
+    character per modulus is also summed term by term at every k
+    (`expsums.gauss_sum_brute`); a difference beyond that sum's error
+    budget is a hard failure, not counted in `checked`.
 
     Hard requirement: whenever every prime of l = n/q divides q, so that
     the character vanishes exactly where the inducing one does, the
-    reduction is exact on both paths: brute force vanishes to 1e-6 when l
+    reduction is exact on both paths: tau(chi, k) vanishes to 1e-6 when l
     does not divide k, and equals l * tau(chi1, k/l) to 1e-6 when it does.
     All other disagreements are findings describing where the formula
     needs correction terms.
     """
     hard_failures = 0
+    sample_failures = 0
     checked = 0
     agree_count = 0
     findings: list[dict] = []
+    ks = range(1, k_max + 1)
     for n in range(3, n_max + 1):
         group = CharacterGroup(n)
-        arange = np.arange(n, dtype=np.int64)
-        eks = {k: expsums._root_table(n)[k * arange % n] for k in range(1, k_max + 1)}
-        for chi in group.characters():
+        taus = {k: expsums.gauss_sums(group, k) for k in ks}
+        sample = group.character_by_index(random.Random(_RNG_SEED + n).randrange(group.total_order))
+        for k in ks:
+            brute = expsums.gauss_sum_brute(sample, k)
+            if not abs(brute.value - taus[k][sample.index]) <= brute.error_budget:
+                sample_failures += 1
+        reduced_taus: dict[tuple[int, int], np.ndarray] = {}
+        for index, chi in enumerate(group.characters()):
             if chi.is_trivial:
                 continue
             q, chi1 = chi.conductor()
@@ -591,19 +602,18 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                 continue
             length = n // q
             compatible = set(factorize(length).primes) <= set(factorize(q).primes)
-            table = chi.value_table()
-            table1 = chi1.value_table()
-            q_arange = np.arange(q, dtype=np.int64)
-            for k in range(1, k_max + 1):
-                brute = complex((table * eks[k]).sum())
+            for k in ks:
+                tau = complex(taus[k][index])
                 if k % length != 0:
                     path = "vanishing"
                     claimed = 0j
                 else:
                     path = "reduced"
-                    e1 = expsums._root_table(q)[k // length * q_arange % q]
-                    claimed = length * complex((table1 * e1).sum())
-                diff = abs(claimed - brute)
+                    key = (q, k // length)
+                    if key not in reduced_taus:
+                        reduced_taus[key] = expsums.gauss_sums(chi1.group, k // length)
+                    claimed = length * complex(reduced_taus[key][chi1.index])
+                diff = abs(claimed - tau)
                 agree = diff < GAUSS_TOL
                 checked += 1
                 agree_count += agree
@@ -613,33 +623,29 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                     findings.append(
                         {
                             "n": n,
-                            "char_index": chi.index,
+                            "char_index": index,
                             "conductor": q,
                             "k": k,
                             "path": path,
                             "zero_sets_match": compatible,
-                            "brute_re": brute.real,
-                            "brute_im": brute.imag,
+                            "brute_re": tau.real,
+                            "brute_im": tau.imag,
                             "claimed_re": claimed.real,
                             "claimed_im": claimed.imag,
                             "difference": diff,
                         }
                     )
     outside = sum(not f["zero_sets_match"] for f in findings)
-    return [
-        SuiteResult(
-            "imprimitive",
-            hard_failures == 0,
-            True,
-            checked,
-            hard_failures,
-            f"reduction vs brute for imprimitive characters, n <= {n_max}, k <= {k_max}: "
-            f"{agree_count}/{checked} agree; {len(findings)} disagreements recorded "
-            f"({outside} at characters where n/q has a prime outside the conductor); "
-            f"hard check failures where every prime of n/q divides q: {hard_failures}",
-            findings,
-        )
-    ]
+    summary = (
+        f"reduction vs brute for imprimitive characters, n <= {n_max}, k <= {k_max}: "
+        f"{agree_count}/{checked} agree; {len(findings)} disagreements recorded "
+        f"({outside} at characters where n/q has a prime outside the conductor); "
+        f"hard check failures where every prime of n/q divides q: {hard_failures}"
+    )
+    if sample_failures:
+        summary += f"; FFT off the term-by-term sum of a seeded character: {sample_failures}"
+    failures = hard_failures + sample_failures
+    return [SuiteResult("imprimitive", failures == 0, True, checked, failures, summary, findings)]
 
 
 @_timed
@@ -657,13 +663,14 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[Sui
         scan = classify_all(n)
         tau_n = len(divisors(n))
         root_n = math.sqrt(n)
-        sets = [np.nonzero(scan.codes == 2)[0]]
+        sets = [np.nonzero(scan.codes == CODE_DTH_ROOT)[0]]
         sets.extend(np.nonzero(scan.stages == j)[0] for j in range(scan.s))
         for k in ks:
             envelope = sigma(k) * root_n * tau_n
             for sols in sets:
                 if len(sols) == 0:
                     continue
+                # few terms per set: _phase_sum would build an n-sized root table per n
                 mag = abs(complex(np.exp(2j * np.pi * ((k * sols) % n) / n).sum()))
                 checked += 1
                 ratio = mag / root_n
@@ -691,7 +698,8 @@ def suite_arith(
     phi_n_max: int = 10_000, roundtrip_n_max: int = 1_000_000
 ) -> list[SuiteResult]:
     """phi by brute count, Mobius divisor sums, primitive-root orders, and
-    the factorization round trip.  Hard."""
+    the factorization round trip, its prime parts checked against a sieve.
+    Hard."""
     failures = 0
     checked = 0
     for n in range(1, phi_n_max + 1):
@@ -716,6 +724,7 @@ def suite_arith(
             failures += 1
         if any(pow_mod(g, phi // q, pe) == 1 for q in factorize(phi).primes):
             failures += 1
+    sieve = _prime_sieve(roundtrip_n_max)
     for n in range(1, roundtrip_n_max + 1):
         fac = factorize(n)
         checked += 1
@@ -724,7 +733,7 @@ def suite_arith(
             continue
         if list(fac.primes) != sorted(set(fac.primes)):
             failures += 1
-        if any(e < 1 for _, e in fac.factors) or not all(is_prime(p) for p in fac.primes):
+        if any(e < 1 for _, e in fac.factors) or not all(sieve[p] for p in fac.primes):
             failures += 1
     return [
         SuiteResult(
@@ -747,7 +756,7 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
     checked = 0
     for n in range(2, orth_n_max + 1):
         group = CharacterGroup(n)
-        col = group.value_matrix().sum(axis=0)
+        col = sum(chi.value_table() for chi in group.characters())
         expect = np.zeros(n, complex)
         expect[1] = group.total_order
         checked += 1
@@ -802,48 +811,40 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
     ]
 
 
-_REGISTRY: dict[str, tuple] = {
-    "partition": (suite_partition_rabin, ("partition", "rabin")),
-    "rabin": (suite_partition_rabin, ("partition", "rabin")),
-    "cancellation": (suite_cancellation_additivity, ("cancellation", "additivity")),
-    "additivity": (suite_cancellation_additivity, ("cancellation", "additivity")),
-    "ramanujan": (suite_ramanujan, ("ramanujan",)),
-    "gauss-primitive": (suite_gauss_primitive, ("gauss-primitive",)),
-    "cancel-dual": (suite_cancellation_dual, ("cancel-dual",)),
-    "bach": (suite_bach, ("bach",)),
-    "figure1": (suite_figure_histogram, ("figure1",)),
-    "trend": (suite_trend, ("trend",)),
-    "imprimitive": (suite_imprimitive, ("imprimitive",)),
-    "cancel-ratio": (suite_cancellation_ratio, ("cancel-ratio",)),
-    "arith": (suite_arith, ("arith",)),
-    "characters": (suite_characters, ("characters",)),
+_REGISTRY = {
+    "partition": suite_partition_rabin,
+    "rabin": suite_partition_rabin,
+    "cancellation": suite_cancellation_additivity,
+    "additivity": suite_cancellation_additivity,
+    "ramanujan": suite_ramanujan,
+    "gauss-primitive": suite_gauss_primitive,
+    "cancel-dual": suite_cancellation_dual,
+    "bach": suite_bach,
+    "figure1": suite_figure_histogram,
+    "trend": suite_trend,
+    "imprimitive": suite_imprimitive,
+    "cancel-ratio": suite_cancellation_ratio,
+    "arith": suite_arith,
+    "characters": suite_characters,
 }
 
-SUITE_NAMES = tuple(dict.fromkeys(_REGISTRY))
+SUITE_NAMES = tuple(_REGISTRY)
 
 
 def run_suites(names=None) -> list[SuiteResult]:
-    """Run the requested suites (all when names is None), computing shared
-    scans only once.  Results come back in request order."""
+    """Run the requested suites (all when names is None) and return their
+    results in request order.  A suite function that yields several results
+    runs once per call."""
     if names is None:
-        names = list(SUITE_NAMES)
+        names = SUITE_NAMES
     unknown = [n for n in names if n not in _REGISTRY]
     if unknown:
         raise DomainError(f"unknown suite(s): {', '.join(unknown)}")
-    ran: dict[int, dict[str, SuiteResult]] = {}
+    ran: dict = {}
     out: list[SuiteResult] = []
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            continue
-        seen.add(name)
-        fn, provides = _REGISTRY[name]
-        key = id(fn)
-        if key not in ran:
-            ran[key] = {r.name: r for r in fn()}
-        out.append(ran[key][name])
-        for extra in provides:
-            if extra != name and extra in names and extra not in seen:
-                seen.add(extra)
-                out.append(ran[key][extra])
+    for name in dict.fromkeys(names):
+        fn = _REGISTRY[name]
+        if fn not in ran:
+            ran[fn] = {r.name: r for r in fn()}
+        out.append(ran[fn][name])
     return out

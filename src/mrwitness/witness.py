@@ -118,9 +118,8 @@ class ResidueScan:
 
     `codes` uses the integer codes of `_scan`; `stages[w]` is the least j
     with w**(d * 2**j) = -1 for code-3 residues and -1 elsewhere.
-    `overlap` is the engine's own consistency count (writes of the subgroup
-    engine that landed on an already written residue, or units meeting both
-    predicates on the pow route); it is always 0.
+    `overlap` is the subgroup engine's own consistency count (writes that
+    landed on an already written residue); it is always 0.
     """
 
     n: int
@@ -148,24 +147,14 @@ class ResidueScan:
 _BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus
 
 
-def classify_all(n: int, engine: str = "auto") -> ResidueScan:
-    """Classify every residue of [0, n).
-
-    engine: "auto" builds the strong liars from their subgroups
-    (`_scan.scan_subgroups`); "numpy" runs the independent pow route
-    (`_scan.scan_numpy`), which evaluates w**d mod n for every w and is
-    used as a cross-check.
-    """
+def classify_all(n: int) -> ResidueScan:
+    """Classify every residue of [0, n) by building the strong liars from
+    their subgroups (`_scan.scan_subgroups`).  The tests compare it with
+    the independent pow route, `_scan.scan_numpy`."""
     dec = mr_decompose(n)
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")
-    fac = factorize(n)
-    if engine == "auto":
-        codes, stages, counts, overlap = _scan.scan_subgroups(n, dec.d, dec.s, fac.factors)
-    elif engine == "numpy":
-        codes, stages, _, counts, overlap = _scan.scan_numpy(n, dec.d, dec.s, fac.primes)
-    else:
-        raise DomainError(f"unknown engine {engine!r}; expected 'auto' or 'numpy'")
+    codes, stages, counts, overlap = _scan.scan_subgroups(n, dec.d, dec.s, factorize(n).factors)
     cc = ClassCounts(*(int(c) for c in counts))
     return ResidueScan(n, dec.d, dec.s, codes, stages, cc, int(overlap))
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from mrwitness import _scan, characters, suites
+from mrwitness import _scan, characters, expsums, suites
 
 
 def _partition(n_max):
@@ -71,3 +71,59 @@ def test_imprimitive_catches_a_wrong_reduction(monkeypatch):
     (r,) = suites.suite_imprimitive(40, 9)
     assert not r.ok and r.failures > 0
     assert all(f["path"] == "reduced" for f in r.findings if f["zero_sets_match"])
+
+
+def test_imprimitive_findings_match_the_reduction_formula():
+    """Every finding is an imprimitive character whose reduced path
+    differs from tau(chi, k) by more than the tolerance, recomputed here
+    from the term-by-term sums."""
+    (r,) = suites.suite_imprimitive(40, 9)
+    assert r.findings
+    for f in r.findings[:: max(1, len(r.findings) // 25)]:
+        chi = characters.CharacterGroup(f["n"]).character_by_index(f["char_index"])
+        red = expsums.gauss_sum_reduced(chi, f["k"])
+        assert (red.conductor, red.path) == (f["conductor"], f["path"])
+        assert abs(red.brute.value - complex(f["brute_re"], f["brute_im"])) < 1e-9
+        assert abs(red.difference - f["difference"]) < 1e-9
+
+
+def test_imprimitive_catches_an_fft_off_the_brute_sum(monkeypatch):
+    """A shift of every FFT value by 1e-9 leaves each reduction within its
+    1e-6 tolerance; only the term-by-term sample sees it."""
+    original = expsums.gauss_sums
+    monkeypatch.setattr(expsums, "gauss_sums", lambda group, k: original(group, k) + 1e-9)
+    (r,) = suites.suite_imprimitive(40, 9)
+    assert not r.ok and r.failures == 38 * 9
+    assert "seeded character" in r.summary
+
+
+def test_gauss_primitive_catches_a_scaled_tau(monkeypatch):
+    original = expsums.gauss_sums
+
+    def gauss_sums(group, k):
+        taus = original(group, k)
+        if group.n == 7:
+            taus[3] *= 1.001  # every nontrivial character mod a prime is primitive
+        return taus
+
+    monkeypatch.setattr(expsums, "gauss_sums", gauss_sums)
+    (r,) = suites.suite_gauss_primitive(20)
+    assert not r.ok and r.failures == 3
+
+
+def test_run_suites_returns_request_order(monkeypatch):
+    calls = []
+
+    def suite(*names):
+        def fn():
+            calls.append(names)
+            return [suites.SuiteResult(name, True, True, 1, 0, "") for name in names]
+        return fn
+
+    pair = suite("partition", "rabin")
+    monkeypatch.setattr(suites, "_REGISTRY", {
+        "partition": pair, "rabin": pair, "ramanujan": suite("ramanujan"),
+    })
+    results = suites.run_suites(["partition", "ramanujan", "rabin", "partition"])
+    assert [r.name for r in results] == ["partition", "ramanujan", "rabin"]
+    assert calls == [("partition", "rabin"), ("ramanujan",)]

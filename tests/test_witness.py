@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrwitness import witness
-from mrwitness.arith import is_prime
+from mrwitness import _scan, witness
+from mrwitness.arith import factorize, is_prime
 from mrwitness.errors import DomainError
 from mrwitness.witness import WitnessClass
 
@@ -110,15 +110,13 @@ class TestEnumerate:
     @example(n=59049)  # 3**10
     @example(n=1056331)  # the histogram modulus
     def test_engines_agree(self, n):
-        a = witness.classify_all(n, engine="auto")
-        b = witness.classify_all(n, engine="numpy")
-        assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.stages, b.stages)
-        assert a.counts == b.counts and a.overlap == b.overlap == 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(DomainError):
-            witness.classify_all(9, engine="numba")
+        a = witness.classify_all(n)
+        dec = witness.mr_decompose(n)
+        codes, stages, _, counts, overlap = _scan.scan_numpy(n, dec.d, dec.s, factorize(n).primes)
+        assert np.array_equal(a.codes, codes)
+        assert np.array_equal(a.stages, stages)
+        assert a.counts == witness.ClassCounts(*counts.tolist())
+        assert a.overlap == overlap == 0
 
     @given(odd_n, st.data())
     @settings(max_examples=120, deadline=None)
