@@ -1,4 +1,4 @@
-"""Batch residue-classification engines.
+"""Batch residue-classification engines and the modular kernels they share.
 
 Both engines classify every residue of [0, n) for odd n < 2**31.
 
@@ -22,12 +22,22 @@ Class codes: 0 witness, 1 shares a factor with n, 2 d-th root of unity,
 which must always be zero: for the subgroup engine the number of writes
 that land on an already written residue, for the pow route the number of
 units satisfying both the root-of-unity and the minus-one predicate.
+
+Shared kernels, each defined once here:
+
+* `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
+  the partition suite's batched pow re-check);
+* `_powers`: the power table of one generator (the liar subgroups here,
+  the discrete-log tables of `characters`, which invert it);
+* `outer_sum`: one value per index vector, summed over components (the
+  CRT products here, character values and power indices in `characters`).
+
+The generators themselves come from the cached `arith.primitive_root`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,13 +49,6 @@ CODE_DTH_ROOT = 2
 CODE_MINUS_ONE = 3
 
 _POW_BLOCK = 1 << 14  # residues per block of pow_all_numpy: 128 KiB per int64 buffer
-
-
-@lru_cache(maxsize=1 << 14)
-def _generator(p: int, e: int) -> tuple[int, int]:
-    """(primitive root, group order) of the units mod p**e, p odd."""
-    ((g, phi),) = primitive_root(p, e)
-    return g, phi
 
 
 def _powers(h: int, count: int, q: int) -> np.ndarray:
@@ -67,14 +70,31 @@ def _powers(h: int, count: int, q: int) -> np.ndarray:
     return out
 
 
-def _crt_product(parts, n: int) -> np.ndarray:
-    """Residues mod n whose CRT components run over `parts` (already scaled by
-    their idempotents), as a flat index array."""
-    acc = parts[0]
+def outer_sum(parts) -> np.ndarray:
+    """sum_i parts[i][t_i] for every index vector t, flat with the last
+    index running fastest; [0] for no parts."""
+    parts = list(parts) or [np.zeros(1, np.int64)]
+    total = parts[0]
     for part in parts[1:]:
-        acc = np.add.outer(acc, part).ravel()
-        acc %= n
-    return acc
+        total = np.add.outer(total, part)
+    return total.ravel()
+
+
+def liar_codes(x: np.ndarray, n, s) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, stages) of units with x = w**d mod n, n - 1 = d * 2**s.
+
+    n and s are scalars or per-element arrays.  Code 2 where x = 1; code 3
+    and stage j where j < s is least with x**(2**j) = -1; code 0 and stage
+    -1 elsewhere.  x is squared once per stage up to max(s) and never
+    written into.  Products stay below n**2 < 2**62.
+    """
+    codes = np.where(x == 1, CODE_DTH_ROOT, CODE_WITNESS).astype(np.uint8)
+    stages = np.full(len(x), -1, np.int8)
+    for j in range(int(np.max(s))):
+        stages[(x == n - 1) & (stages < 0) & (j < s)] = j
+        x = x * x % n
+    codes[stages >= 0] = CODE_MINUS_ONE
+    return codes, stages
 
 
 def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
@@ -91,7 +111,7 @@ def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
     tables = []
     for p, e in factors:
         q = p**e
-        g, phi = _generator(p, e)
+        ((g, phi),) = primitive_root(p, e)
         order = math.gcd(p - 1, d) << levels  # the deepest level used
         cofactor = n // q
         idempotent = cofactor * pow(cofactor, -1, q) % n
@@ -107,7 +127,9 @@ def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
         liar_sets.append((CODE_MINUS_ONE, j, [t[step :: 2 * step] for t in tables]))
     written = np.count_nonzero(codes)
     for code, stage, parts in liar_sets:
-        idx = _crt_product(parts, n)
+        idx = outer_sum(parts)
+        if len(parts) > 1:  # a sum of several components reaches len(parts) * n
+            idx %= n
         written += len(idx)
         codes[idx] = code
         if stage >= 0:
@@ -173,33 +195,10 @@ def scan_numpy(n: int, d: int, s: int, prime_factors) -> tuple:
 
     Returns (codes, stages, powd, counts, overlap), with powd[w] = w**d mod n.
     """
-    codes = np.zeros(n, np.uint8)
-    coprime = np.ones(n, bool)
-    coprime[0] = False
-    for p in prime_factors:
-        coprime[::p] = False
-    codes[~coprime] = CODE_NON_COPRIME
-
     powd = pow_all_numpy(n, d)
-    is_root = coprime & (powd == 1)
-    stages = np.full(n, -1, np.int8)
-    cur = powd.copy()
-    alive = coprime.copy()
-    overlap = 0
-    for j in range(s):
-        hit = alive & (cur == n - 1)
-        stages[hit] = j
-        overlap += int(np.count_nonzero(hit & is_root))
-        alive &= ~hit
-        if j + 1 < s and alive.any():
-            idx = np.nonzero(alive)[0]
-            sq = cur[idx] * cur[idx] % n
-            cur[idx] = sq
-            alive[idx[sq == 1]] = False
-
-    hit_any = stages >= 0
-    codes[is_root] = CODE_DTH_ROOT
-    codes[coprime & hit_any & ~is_root] = CODE_MINUS_ONE
-    stages[codes != CODE_MINUS_ONE] = -1
+    codes, stages = liar_codes(powd, n, s)
+    for p in prime_factors:
+        codes[::p] = CODE_NON_COPRIME
+    overlap = int(np.count_nonzero((powd == 1) & (stages >= 0)))
     counts = np.bincount(codes, minlength=4).astype(np.int64)
     return codes, stages, powd, counts, overlap

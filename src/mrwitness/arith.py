@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import DomainError
 
@@ -196,12 +196,14 @@ def multiplicative_functions(n: int) -> MultiplicativeFunctions:
     return MultiplicativeFunctions(euler_phi(n), mobius(n), tuple(divisors(n)))
 
 
+@lru_cache(maxsize=1 << 14)
 def primitive_root(p: int, e: int) -> tuple[tuple[int, int], ...]:
     """Canonical generators of the unit group mod p**e, as (generator, order) pairs.
 
     Odd p: the single smallest primitive root g, order phi(p**e).
     p = 2: () for e = 1, ((3, 2),) for e = 2, and ((2**e - 1, 2), (5, 2**(e-2)))
-    for e >= 3 (the classical -1, 5 pair).
+    for e >= 3 (the classical -1, 5 pair).  Cached: the classifier and
+    the character groups share one search per prime power.
     """
     if e < 1:
         raise DomainError(f"exponent must be >= 1, got {e}")

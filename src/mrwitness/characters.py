@@ -6,7 +6,8 @@ p**e block is cyclic with the smallest primitive root as generator; the
 (e = 2), or the pair (-1, 5) with orders (2, 2**(e-2)) for e >= 3.  A
 character is one exponent per generator, and its value at a unit w is
 e(sum_i t_i * a_i / m_i) where the a_i are componentwise discrete logs of
-w.  Logs come from per-component int32 lookup tables built on first use.
+w.  Logs come from per-component int32 lookup tables built on first use
+by scattering the indices of the generator's power table.
 Every phase is an integer numerator over the group exponent M, so equality
 tests (orthogonality, conductors) never depend on floating-point
 tolerances, and value tables index one cached table of e(j/M) per group.
@@ -27,6 +28,7 @@ from itertools import product
 
 import numpy as np
 
+from ._scan import _powers, outer_sum
 from .arith import factorize, lcm_all, primitive_root
 from .errors import DomainError
 
@@ -40,15 +42,6 @@ def _valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _over_characters(per_generator) -> np.ndarray:
-    """sum_i per_generator[i][t_i] for every exponent vector t, flat in
-    character-index order."""
-    total = np.zeros((), np.int64)
-    for v in per_generator:
-        total = np.add.outer(total, v)
-    return total.ravel()
 
 
 class UnitGroupComponent:
@@ -77,20 +70,14 @@ class UnitGroupComponent:
                     f"character evaluation supports prime-power components up to {_LOG_TABLE_LIMIT}"
                 )
             tabs = [np.zeros(pe, np.int32) for _ in self.generators]
-            if self.p == 2 and self.e >= 3:
-                x = 1
-                for t in range(self.orders[1]):
-                    tabs[0][x] = 0
-                    tabs[1][x] = t
-                    tabs[0][pe - x] = 1
-                    tabs[1][pe - x] = t
-                    x = x * 5 % pe
-            elif self.generators:
-                g = self.generators[0]
-                x = 1
-                for a in range(self.orders[0]):
-                    tabs[0][x] = a
-                    x = x * g % pe
+            if self.p == 2 and self.e >= 3:  # units are +-5**t
+                m = self.orders[1]
+                x = _powers(5, m, pe)
+                tabs[1][x] = tabs[1][pe - x] = np.arange(m, dtype=np.int32)
+                tabs[0][pe - x] = 1
+            elif self.generators:  # the inverse of the generator's power table
+                m = self.orders[0]
+                tabs[0][_powers(self.generators[0], m, pe)] = np.arange(m, dtype=np.int32)
             self._logs = tuple(tabs)
         return self._logs
 
@@ -239,7 +226,7 @@ class CharacterGroup:
         if logs is None:
             return np.zeros(self.total_order, np.complex128)
         M = self.exponent
-        num = _over_characters(
+        num = outer_sum(
             np.arange(m, dtype=np.int64) * a % m * (M // m) for a, m in zip(logs, self.orders)
         )
         return self.roots()[num % M]
@@ -247,7 +234,7 @@ class CharacterGroup:
     def power_indices(self, alpha: int) -> np.ndarray:
         """Index of chi**alpha for every character index."""
         strides = [math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))]
-        return _over_characters(
+        return outer_sum(
             np.arange(m, dtype=np.int64) * alpha % m * s for m, s in zip(self.orders, strides)
         )
 

@@ -217,10 +217,13 @@ def scan(n_values, k_max: int = 10, bins: int | None = None,
          max_workers: int | None = None) -> list[ScanRow]:
     """One ScanRow per requested n, in input order.
 
-    Per-n domain errors become rows with the `error` field set; the scan
-    continues.  Any other error propagates, the first in input order,
-    whether or not distinct n are processed concurrently.
+    Rows run on a pool of `thread_count(max_workers)` threads; one worker
+    runs them serially, by the same path.  Per-n domain errors become rows
+    with the `error` field set; the scan continues.  Any other error
+    propagates once every row has run, the first in input order.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs about 3 ms
+
     from .concurrency import thread_count
 
     n_values = list(n_values)
@@ -233,16 +236,10 @@ def scan(n_values, k_max: int = 10, bins: int | None = None,
         except DomainError as exc:
             rows[i] = ScanRow(n, 0, 0.0, 0.0, (), 0, 0.0, error=str(exc))
 
-    if workers > 1 and len(n_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, i, n) for i, n in enumerate(n_values)]
-        for future in futures:
-            future.result()  # re-raise what a row raised, as the serial path does
-    else:
-        for i, n in enumerate(n_values):
-            run(i, n)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, i, n) for i, n in enumerate(n_values)]
+    for future in futures:
+        future.result()  # re-raise the first row error in input order
     return rows  # type: ignore[return-value]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equidist, expsums
-from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, CODE_NON_COPRIME, CODE_WITNESS
+from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, CODE_NON_COPRIME, liar_codes
 from .arith import (
     divisors,
     euler_phi,
@@ -123,11 +123,11 @@ def _partition_counts_ok(scan, fac, liar_residues: np.ndarray) -> bool:
     expected = ClassCounts(n - non_coprime - liar_count, non_coprime, roots, sum(per_stage))
     if scan.counts != expected or scan.overlap != 0:
         return False
-    liar_codes = codes[liar_residues]
-    stage_of = stages[liar_residues[liar_codes == CODE_MINUS_ONE]]
+    coded = codes[liar_residues]
+    stage_of = stages[liar_residues[coded == CODE_MINUS_ONE]]
     return (
         len(liar_residues) == liar_count
-        and np.count_nonzero(liar_codes == CODE_DTH_ROOT) == roots
+        and np.count_nonzero(coded == CODE_DTH_ROOT) == roots
         and not np.any(stage_of < 0)
         and np.bincount(stage_of, minlength=len(per_stage)).tolist() == per_stage
         and np.count_nonzero(stages >= 0) == len(stage_of)
@@ -157,12 +157,7 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
         x = np.where((e & 1) == 1, x * base % n, x)
         base = base * base % n
         e >>= 1
-    codes = np.where(x == 1, CODE_DTH_ROOT, CODE_WITNESS).astype(np.uint8)
-    stages = np.full(len(x), -1, np.int8)
-    for j in range(int(s.max())):
-        stages[(x == n - 1) & (stages < 0) & (j < s)] = j
-        x = x * x % n
-    codes[stages >= 0] = CODE_MINUS_ONE
+    codes, stages = liar_codes(x, n, s)
     bad = (codes != np.concatenate([row[4] for row in batch])) | (
         stages != np.concatenate([row[5] for row in batch])
     )
@@ -628,8 +623,8 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                             "k": k,
                             "path": path,
                             "zero_sets_match": compatible,
-                            "brute_re": tau.real,
-                            "brute_im": tau.imag,
+                            "tau_re": tau.real,
+                            "tau_im": tau.imag,
                             "claimed_re": claimed.real,
                             "claimed_im": claimed.imag,
                             "difference": diff,
@@ -637,7 +632,8 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                     )
     outside = sum(not f["zero_sets_match"] for f in findings)
     summary = (
-        f"reduction vs brute for imprimitive characters, n <= {n_max}, k <= {k_max}: "
+        "reduction vs the unreduced FFT tau(chi, k) for imprimitive characters, "
+        f"n <= {n_max}, k <= {k_max}: "
         f"{agree_count}/{checked} agree; {len(findings)} disagreements recorded "
         f"({outside} at characters where n/q has a prime outside the conductor); "
         f"hard check failures where every prime of n/q divides q: {hard_failures}"

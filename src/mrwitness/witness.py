@@ -75,6 +75,17 @@ class WitnessClassification:
     gcd_value: int | None = None
 
 
+def _minus_one_stage(x: int, n: int, s: int) -> int | None:
+    """The least j < s with x**(2**j) = -1 mod n, or None."""
+    for j in range(s):
+        if x == n - 1:
+            return j
+        x = x * x % n
+        if x == 1:
+            return None
+    return None
+
+
 def classify(n: int, w: int) -> WitnessClassification:
     """Classify a single residue. Exact for any odd n >= 3 up to 2**63 and beyond."""
     dec = mr_decompose(n)
@@ -86,12 +97,9 @@ def classify(n: int, w: int) -> WitnessClassification:
     x = pow(w, dec.d, n)
     if x == 1:
         return WitnessClassification(w, WitnessClass.DTH_ROOT)
-    for j in range(dec.s):
-        if x == n - 1:
-            return WitnessClassification(w, WitnessClass.MINUS_ONE, stage=j)
-        x = x * x % n
-        if x == 1:
-            break
+    stage = _minus_one_stage(x, n, dec.s)
+    if stage is not None:
+        return WitnessClassification(w, WitnessClass.MINUS_ONE, stage=stage)
     return WitnessClassification(w, WitnessClass.WITNESS)
 
 
@@ -159,20 +167,6 @@ def classify_all(n: int) -> ResidueScan:
     return ResidueScan(n, dec.d, dec.s, codes, stages, cc, int(overlap))
 
 
-def _strong_test_fails(n: int, d: int, s: int, a: int) -> bool:
-    """True when base a proves n composite (no coprimality requirement)."""
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return False
-        if x == 1:
-            return True
-    return True
-
-
 def least_witness(n: int) -> tuple[int, int]:
     """(least witness, least base failing the strong test) for odd composite n.
 
@@ -185,7 +179,8 @@ def least_witness(n: int) -> tuple[int, int]:
     dec = mr_decompose(n)
     least_any = 0
     for a in range(2, n):
-        if _strong_test_fails(n, dec.d, dec.s, a):
+        x = pow(a, dec.d, n)
+        if x != 1 and _minus_one_stage(x, n, dec.s) is None:  # base a fails the strong test
             if least_any == 0:
                 least_any = a
             if math.gcd(a, n) == 1:

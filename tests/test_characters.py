@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrwitness.arith import divisors, euler_phi
-from mrwitness.characters import CharacterGroup, character_group
+from mrwitness.arith import divisors, euler_phi, factorize, primitive_root
+from mrwitness.characters import CharacterGroup, UnitGroupComponent, character_group
 from mrwitness.errors import DomainError
 
 
@@ -230,3 +230,33 @@ class TestIndexing:
     def test_bad_index(self):
         with pytest.raises(DomainError):
             character_group(9).character_by_index(6)
+
+
+def _walked_log_tables(p: int, e: int) -> list[list[int]]:
+    """Log tables by walking the generator's powers one residue at a time
+    in Python, independent of `_scan._powers`."""
+    pe = p**e
+    gens = primitive_root(p, e)
+    tabs = [[0] * pe for _ in gens]
+    if p == 2 and e >= 3:
+        x = 1
+        for t in range(gens[1][1]):
+            tabs[1][x] = tabs[1][pe - x] = t
+            tabs[0][pe - x] = 1
+            x = x * 5 % pe
+    elif gens:
+        (g, m), x = gens[0], 1
+        for a in range(m):
+            tabs[0][x] = a
+            x = x * g % pe
+    return tabs
+
+
+def test_log_tables_match_the_walked_powers():
+    prime_powers = [(p, e) for q in range(2, 4097) for (p, e) in [factorize(q).factors[0]]
+                    if p**e == q]
+    prime_powers += [(2, e) for e in range(13, 17)] + [(999983, 1)]
+    for p, e in prime_powers:
+        tabs = UnitGroupComponent(p, e).log_tables()
+        assert all(t.dtype == np.int32 for t in tabs)
+        assert [t.tolist() for t in tabs] == _walked_log_tables(p, e), (p, e)

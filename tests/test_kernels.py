@@ -1,13 +1,15 @@
 """The full-residue kernels against scalar references, value for value."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrwitness import expsums
-from mrwitness._scan import _POW_BLOCK, pow_all_numpy
+from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy
 from mrwitness.arith import is_prime
-from mrwitness.witness import classify_all
+from mrwitness.witness import WitnessClass, _minus_one_stage, classify, classify_all, mr_decompose
 
 
 def _odd_part(m: int) -> int:
@@ -53,3 +55,47 @@ class TestPhaseSums:
 
     def test_empty_residues(self):
         assert expsums._phase_sums(np.array([], np.int64), 3, 15) == [0j, 0j, 0j]
+
+
+class TestLiarCodes:
+    def test_mixed_batch_matches_scalar_classify(self):
+        """One batch over moduli with s = 1..16, primes and composites
+        alike, against `classify` residue by residue."""
+        rng = np.random.default_rng(5)
+        ns, ws = [], []
+        for v in range(1, 17):
+            for odd in (1, 3, 5, 7, 9, 11, 13, 15):
+                n = odd * 2**v + 1
+                if n < 9:
+                    continue
+                liars = np.flatnonzero(classify_all(n).codes >= 2)
+                picks = np.concatenate([liars[rng.integers(0, len(liars), 40)], rng.integers(1, n, 40)])
+                for w in picks.tolist():
+                    if math.gcd(w, n) == 1:
+                        ns.append(n)
+                        ws.append(w)
+        decs = [mr_decompose(n) for n in ns]
+        x = np.array([pow(w, dec.d, n) for w, dec, n in zip(ws, decs, ns)], np.int64)
+        s = np.array([dec.s for dec in decs], np.int64)
+        before = x.copy()
+        codes, stages = liar_codes(x, np.array(ns, np.int64), s)
+        assert np.array_equal(x, before)
+        assert set(s.tolist()) == set(range(1, 17))
+        expect = {WitnessClass.WITNESS: 0, WitnessClass.DTH_ROOT: 2, WitnessClass.MINUS_ONE: 3}
+        for i, (n, w) in enumerate(zip(ns, ws)):
+            c = classify(n, w)
+            assert (codes[i], stages[i]) == (expect[c.category], -1 if c.stage is None else c.stage), (n, w)
+
+    def test_stage_bound_is_per_element(self):
+        """Every x mod n against the scalar stage rule at each bound
+        s' <= v2(n - 1): -1 reached at a stage j >= s' does not count."""
+        ns, xs, ss = [], [], []
+        for m in (65, 97, 257, 18721, 40961):
+            for bound in range(1, mr_decompose(m).s + 1):
+                ns += [m] * m
+                xs += range(m)
+                ss += [bound] * m
+        codes, stages = liar_codes(np.array(xs, np.int64), np.array(ns, np.int64), np.array(ss, np.int64))
+        want = [_minus_one_stage(x, m, b) for x, m, b in zip(xs, ns, ss)]
+        assert stages.tolist() == [-1 if j is None else j for j in want]
+        assert codes.tolist() == [2 if x == 1 else 0 if j is None else 3 for x, j in zip(xs, want)]

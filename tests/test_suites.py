@@ -83,7 +83,7 @@ def test_imprimitive_findings_match_the_reduction_formula():
         chi = characters.CharacterGroup(f["n"]).character_by_index(f["char_index"])
         red = expsums.gauss_sum_reduced(chi, f["k"])
         assert (red.conductor, red.path) == (f["conductor"], f["path"])
-        assert abs(red.brute.value - complex(f["brute_re"], f["brute_im"])) < 1e-9
+        assert abs(red.brute.value - complex(f["tau_re"], f["tau_im"])) < 1e-9
         assert abs(red.difference - f["difference"]) < 1e-9
 
 

@@ -180,3 +180,29 @@ class TestBounds:
         assert 4 * rep.strong_liar_count <= n - 1
         assert rep.least_witness >= 2
         assert rep.least_failing_base <= rep.least_witness
+
+
+def _old_strong_test_fails(n: int, d: int, s: int, a: int) -> bool:
+    """Whether base a fails the strong test, by its own loop: independent
+    of `witness._minus_one_stage`, which `least_witness` shares with
+    `classify`."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return False
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return False
+        if x == 1:
+            return True
+    return True
+
+
+def test_least_witness_matches_the_old_strong_test_loop():
+    ns = [n for n in range(9, 20_001, 2) if not is_prime(n)] + [561, 1105, 1729, 41041]
+    for n in ns:
+        dec = witness.mr_decompose(n)
+        failing = (a for a in range(2, n) if _old_strong_test_fails(n, dec.d, dec.s, a))
+        least_any = next(failing)
+        least = least_any if math.gcd(least_any, n) == 1 else next(a for a in failing if math.gcd(a, n) == 1)
+        assert witness.least_witness(n) == (least, least_any), n
