@@ -31,6 +31,7 @@ import numpy as np
 from ._scan import _powers, outer_sum
 from .arith import factorize, lcm_all, primitive_root
 from .errors import DomainError
+from .witness import _BATCH_LIMIT
 
 _LOG_TABLE_LIMIT = 10**7
 
@@ -178,6 +179,8 @@ class CharacterGroup:
         w in [0, n), 0 on non-units.  When n is a prime power the rows are
         the component's log tables themselves."""
         if self._log_matrix is None:
+            if self.n >= _BATCH_LIMIT:
+                raise DomainError(f"character value tables support n < 2**31, got {self.n}")
             w = np.arange(self.n, dtype=np.int64)
             rows: list[np.ndarray] = []
             mask = np.ones(self.n, bool)

@@ -197,7 +197,7 @@ def cmd_ramanujan(args) -> int:
             ("brute_re", r.brute.real),
             ("brute_im", r.brute.imag),
             ("difference", diff),
-            ("agrees", diff < 1e-8),
+            ("agrees", expsums.agrees(diff, r.brute)),
             ("complement_re", r.complement.real),
             ("complement_im", r.complement.imag),
         ]

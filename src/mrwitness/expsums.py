@@ -8,8 +8,9 @@ reduction exists, it is computed alongside a term-by-term brute-force sum
 and the two are compared, never assumed equal.
 
 Each accumulated sum carries an error budget of modulus * 2**-50, a
-deliberately generous cover for pairwise-summation rounding; identity
-residuals are asserted against budgets rather than ad-hoc tolerances.
+deliberately generous cover for pairwise-summation rounding; two routes
+agree when they differ by less than the error budgets of the values
+compared (`agrees`), never by an ad-hoc tolerance.
 """
 
 from __future__ import annotations
@@ -53,6 +54,28 @@ class ComplexSum:
 
 def _csum(z: complex, count: int, modulus: int) -> ComplexSum:
     return ComplexSum(float(z.real), float(z.imag), int(count), max(modulus, 1) * BUDGET_SCALE)
+
+
+def _budget(values) -> float:
+    """The error budgets of the values compared, summed: a ComplexSum counts
+    its error_budget, an FFT value tau mod n (`gauss_sums`) is passed as n
+    and counts n * BUDGET_SCALE, and exact values (closed forms, 0,
+    sqrt(n)) are not passed."""
+    total = 0.0
+    for v in values:
+        total += v.error_budget if isinstance(v, ComplexSum) else v * BUDGET_SCALE
+    return total
+
+
+def agrees(difference, *values):
+    """Two routes agree when they differ by less than the error budgets of
+    the values compared (`_budget`); elementwise on arrays."""
+    return difference < _budget(values)
+
+
+def budget_ratio(difference, *values):
+    """difference as a fraction of the budget `agrees` compares it with."""
+    return difference / _budget(values)
 
 
 @lru_cache(maxsize=8)
@@ -151,8 +174,9 @@ def ramanujan(n: int, k: int) -> RamanujanSum:
     if n == 1:
         brute = _csum(1 + 0j, 1, 1)
         return RamanujanSum(1, k, closed, brute, _csum(0j, 0, 1))
-    w = np.arange(n, dtype=np.int64)
-    units = w[np.gcd(w, n) == 1]
+    if n >= _witness._BATCH_LIMIT:
+        raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     z = _phase_sum(units, k, n)
     brute = _csum(z, len(units), n)
     return RamanujanSum(n, k, closed, brute, _csum(-z, n - len(units), n))
@@ -176,8 +200,9 @@ class GaussReduction:
     sum), 'vanishing' (conductor q < n, l = n/q does not divide k; claimed
     value 0), or 'reduced' (l divides k; claimed value l * tau(chi1, k/l)
     with chi1 the inducing primitive character mod q).  The claim is always
-    compared against the brute-force sum; `agrees_with_brute` reports the
-    outcome and is never assumed.
+    compared against the brute-force sum; `agrees_with_brute` reports
+    whether they agree within the error budgets of the values compared
+    (the exact 0 of the vanishing path counts none) and is never assumed.
     """
 
     modulus: int
@@ -188,8 +213,6 @@ class GaussReduction:
     brute: ComplexSum
     difference: float
     agrees_with_brute: bool
-
-    TOLERANCE = 1e-6
 
 
 def gauss_sum_reduced(chi: DirichletCharacter, k: int) -> GaussReduction:
@@ -203,12 +226,12 @@ def gauss_sum_reduced(chi: DirichletCharacter, k: int) -> GaussReduction:
         length = n // q
         if k % length != 0:
             path = "vanishing"
-            value = _csum(0j, 0, n)
+            value = ComplexSum(0.0, 0.0, 0, 0.0)
         else:
             path = "reduced"
             value = gauss_sum_brute(chi1, k // length).scaled(length)
     diff = abs(value.value - brute.value)
-    return GaussReduction(n, k, q, path, value, brute, diff, diff < GaussReduction.TOLERANCE)
+    return GaussReduction(n, k, q, path, value, brute, diff, agrees(diff, value, brute))
 
 
 def _components(n: int) -> list[int]:
@@ -271,15 +294,14 @@ class DualCancellation:
 
     The orthogonality route averages chi(b^-1) * tau(chi^alpha, k) over all
     characters mod n, with every tau from one FFT (`gauss_sums`); it must
-    agree with the direct route to 1e-6.
+    agree with the direct route within the error budgets of the values
+    compared.
     """
 
     direct: CancellationSum
     via_characters: ComplexSum
     difference: float
     agrees: bool
-
-    TOLERANCE = 1e-6
 
 
 def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
@@ -310,7 +332,7 @@ def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellatio
     z = complex((chi_binv * taus[group.power_indices(alpha)]).sum()) / group.total_order
     via = _csum(z, n, n)
     diff = float(abs(z - direct.total.value))
-    return DualCancellation(direct, via, diff, diff < DualCancellation.TOLERANCE)
+    return DualCancellation(direct, via, diff, agrees(diff, direct.total, via))
 
 
 @dataclass(frozen=True)

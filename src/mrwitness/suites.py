@@ -10,6 +10,7 @@ between several results runs once per `run_suites` call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -49,14 +50,11 @@ IMPRIMITIVE_N_MAX = 300
 IMPRIMITIVE_K_MAX = 20
 RATIO_N_MAX = 100_000
 
-SUM_TOL = 1e-6
-RAMANUJAN_TOL = 1e-8
-GAUSS_TOL = 1e-6
-DUAL_TOL = 1e-6
 ORTHOGONALITY_TOL = 1e-9
 MULTIPLICATIVITY_TOL = 1e-12
 
 _RNG_SEED = 741101
+_AGREEMENT_RULE = "within the error budgets of the values compared"
 
 
 @dataclass
@@ -271,9 +269,11 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
 def suite_cancellation_additivity(
     n_max: int = SUM_N_MAX, k_max: int = SUM_K_MAX
 ) -> list[SuiteResult]:
-    """For every odd composite n <= n_max and k = 1..k_max (n not dividing k):
-    |S + S_complement| < 1e-6 and the complement sum equals the three class
-    sums to 1e-6, with stage sets verified disjoint.  Both hard."""
+    """For every odd composite n <= n_max and k = 1..k_max (n not dividing k),
+    within the error budgets of the values compared: S + S_complement
+    vanishes, and the complement sum equals the three class sums (the
+    shared-factor one an exact closed form), with stage sets verified
+    disjoint.  Both hard."""
     cancel_fail = 0
     add_fail = 0
     checked = 0
@@ -285,36 +285,25 @@ def suite_cancellation_additivity(
         ks = [k for k in range(1, k_max + 1) if k % n != 0]
         for rep in expsums.decomposition_reports(n, ks):
             checked += 1
-            worst_total = max(worst_total, rep.residual_total)
-            worst_partition = max(worst_partition, rep.residual_partition)
-            if rep.residual_total >= SUM_TOL:
-                cancel_fail += 1
-            if rep.residual_partition >= SUM_TOL or rep.stage_duplicates != 0:
-                add_fail += 1
-    cancellation = SuiteResult(
-        "cancellation",
-        cancel_fail == 0,
-        True,
-        checked,
-        cancel_fail,
-        f"|S + S_complement| < {SUM_TOL:g}; worst residual {worst_total:.3e}",
-    )
-    additivity = SuiteResult(
-        "additivity",
-        add_fail == 0,
-        True,
-        checked,
-        add_fail,
-        f"complement = shared-factor + root + minus-one sums < {SUM_TOL:g}; "
-        f"worst residual {worst_partition:.3e}",
-    )
-    return [cancellation, additivity]
+            total = (rep.residual_total, rep.witness_sum, rep.nonwitness_sum)
+            partition = (rep.residual_partition, rep.nonwitness_sum, rep.dth_root_sum, rep.minus_one_sum)
+            worst_total = max(worst_total, expsums.budget_ratio(*total))
+            worst_partition = max(worst_partition, expsums.budget_ratio(*partition))
+            cancel_fail += not expsums.agrees(*total)
+            add_fail += not expsums.agrees(*partition) or rep.stage_duplicates != 0
+    cancellation = (f"|S + S_complement| vanishes {_AGREEMENT_RULE}; "
+                    f"worst residual/budget {worst_total:.3f}")
+    additivity = (f"complement = shared-factor + root + minus-one sums {_AGREEMENT_RULE}; "
+                  f"worst residual/budget {worst_partition:.3f}")
+    return [SuiteResult("cancellation", cancel_fail == 0, True, checked, cancel_fail, cancellation),
+            SuiteResult("additivity", add_fail == 0, True, checked, add_fail, additivity)]
 
 
 @_timed
 def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) -> list[SuiteResult]:
-    """Closed form vs brute force within 1e-8 for all n <= n_max, k <= k_max,
-    plus the divisor-sum envelope |closed| <= sigma(gcd(n, k)).  Hard."""
+    """Closed form vs brute force within the brute sum's error budget (the
+    closed form is exact) for all n <= n_max, k <= k_max, plus the
+    divisor-sum envelope |closed| <= sigma(gcd(n, k)).  Hard."""
     failures = 0
     checked = 0
     worst = 0.0
@@ -322,39 +311,24 @@ def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) 
         for k in range(1, k_max + 1):
             r = expsums.ramanujan(n, k)
             diff = abs(r.brute.value - r.closed)
-            worst = max(worst, diff)
+            worst = max(worst, expsums.budget_ratio(diff, r.brute))
             checked += 1
-            if diff >= RAMANUJAN_TOL or abs(r.closed) > sigma(math.gcd(n, k)):
-                failures += 1
-    return [
-        SuiteResult(
-            "ramanujan",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"unit-sum closed form == brute within {RAMANUJAN_TOL:g} "
-            f"(worst {worst:.3e}) and |sum| <= sigma(gcd(n, k))",
-        )
-    ]
+            failures += not expsums.agrees(diff, r.brute) or abs(r.closed) > sigma(math.gcd(n, k))
+    summary = (f"unit-sum closed form == brute {_AGREEMENT_RULE} "
+               f"(worst residual/budget {worst:.3f}) and |sum| <= sigma(gcd(n, k))")
+    return [SuiteResult("ramanujan", failures == 0, True, checked, failures, summary)]
 
 
 def _first_coprime_ks(n: int, how_many: int) -> list[int]:
-    out = []
-    k = 1
-    while len(out) < how_many:
-        if math.gcd(k, n) == 1:
-            out.append(k)
-        k += 1
-    return out
+    return list(itertools.islice((k for k in itertools.count(1) if math.gcd(k, n) == 1), how_many))
 
 
 @_timed
 def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[SuiteResult]:
-    """| |tau(chi, k)| - sqrt(n) | < 1e-6 for every primitive character mod
-    n <= n_max, at the k_count smallest frequencies coprime to n, with every
-    tau from the FFT route `expsums.gauss_sums`.  Hard.
-    (For gcd(k, n) = 1 the magnitude is k-independent; several k are still
+    """|tau(chi, k)| = sqrt(n) within the FFT value's error budget for every
+    primitive character mod n <= n_max, at the k_count smallest frequencies
+    coprime to n, with every tau from the FFT route `expsums.gauss_sums`.
+    Hard.  (For gcd(k, n) = 1 the magnitude is k-independent; several k are still
     checked rather than assumed.)"""
     failures = 0
     checked = 0
@@ -365,35 +339,26 @@ def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[Su
         root_n = math.sqrt(n)
         for k in _first_coprime_ks(n, k_count):
             dev = np.abs(np.abs(expsums.gauss_sums(group, k)[primitive]) - root_n)
-            worst = max(worst, float(dev.max(initial=0.0)))
+            worst = max(worst, float(expsums.budget_ratio(dev, n).max(initial=0.0)))
             checked += len(dev)
-            failures += int(np.count_nonzero(~(dev < GAUSS_TOL)))
-    return [
-        SuiteResult(
-            "gauss-primitive",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"primitive Gauss sums have magnitude sqrt(n) within {GAUSS_TOL:g} "
-            f"for n <= {n_max} (worst deviation {worst:.3e})",
-        )
-    ]
+            failures += int(np.count_nonzero(~expsums.agrees(dev, n)))
+    summary = (f"primitive Gauss sums have magnitude sqrt(n) {_AGREEMENT_RULE} "
+               f"for n <= {n_max} (worst residual/budget {worst:.3f})")
+    return [SuiteResult("gauss-primitive", failures == 0, True, checked, failures, summary)]
 
 
 @_timed
 def suite_cancellation_dual(n_max: int = DUAL_N_MAX, pairs: int = DUAL_PAIRS) -> list[SuiteResult]:
     """Direct enumeration of the power-residue sum vs the
     character-orthogonality average (`expsums.cancellation_sum_dual`: pow
-    enumeration against every Gauss sum from one FFT), within 1e-6, for
-    n <= n_max, alpha in {1, 2, 3, d(n)} and `pairs` seeded-random (b, k)
-    pairs per n.  Hard."""
+    enumeration against every Gauss sum from one FFT), within the error
+    budgets of the values compared, for n <= n_max, alpha in {1, 2, 3, d(n)}
+    and `pairs` seeded-random (b, k) pairs per n.  Hard."""
     failures = 0
     checked = 0
     worst = 0.0
     for n in range(3, n_max + 1):
-        arange = np.arange(n, dtype=np.int64)
-        units = arange[np.gcd(arange, n) == 1]
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
         rng = np.random.default_rng(_RNG_SEED + n)
         alphas = [1, 2, 3]
         if n % 2 == 1:
@@ -404,22 +369,14 @@ def suite_cancellation_dual(n_max: int = DUAL_N_MAX, pairs: int = DUAL_PAIRS) ->
         ]
         for alpha in alphas:
             for b, k in chosen:
-                diff = expsums.cancellation_sum_dual(n, alpha, b, k).difference
-                worst = max(worst, diff)
+                dual = expsums.cancellation_sum_dual(n, alpha, b, k)
+                ratio = expsums.budget_ratio(dual.difference, dual.direct.total, dual.via_characters)
+                worst = max(worst, ratio)
                 checked += 1
-                if diff >= DUAL_TOL:
-                    failures += 1
-    return [
-        SuiteResult(
-            "cancel-dual",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"direct power-residue sums match the character-orthogonality route "
-            f"within {DUAL_TOL:g} (worst {worst:.3e})",
-        )
-    ]
+                failures += not dual.agrees
+    summary = (f"direct power-residue sums match the character-orthogonality route "
+               f"{_AGREEMENT_RULE} (worst residual/budget {worst:.3f})")
+    return [SuiteResult("cancel-dual", failures == 0, True, checked, failures, summary)]
 
 
 def _prime_sieve(n_max: int) -> np.ndarray:
@@ -564,20 +521,23 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     `expsums.gauss_sums` (one FFT per k mod n, one per (q, k/l) mod q).
     So that the FFT is never checked only against itself, one seeded
     character per modulus is also summed term by term at every k
-    (`expsums.gauss_sum_brute`); a difference beyond that sum's error
-    budget is a hard failure, not counted in `checked`.
+    (`expsums.gauss_sum_brute`); a disagreement with the FFT is a hard
+    failure, not counted in `checked`.  Every comparison here is judged
+    within the error budgets of the values compared: n * 2**-50 for an FFT
+    value mod n, l * q * 2**-50 for l times one mod q, none for 0.
 
     Hard requirement: whenever every prime of l = n/q divides q, so that
     the character vanishes exactly where the inducing one does, the
-    reduction is exact on both paths: tau(chi, k) vanishes to 1e-6 when l
-    does not divide k, and equals l * tau(chi1, k/l) to 1e-6 when it does.
-    All other disagreements are findings describing where the formula
-    needs correction terms.
+    reduction is exact on both paths: tau(chi, k) vanishes when l does not
+    divide k, and equals l * tau(chi1, k/l) when it does.  All other
+    disagreements are findings describing where the formula needs
+    correction terms.
     """
     hard_failures = 0
     sample_failures = 0
     checked = 0
     agree_count = 0
+    worst = 0.0
     findings: list[dict] = []
     ks = range(1, k_max + 1)
     for n in range(3, n_max + 1):
@@ -586,8 +546,7 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
         sample = group.character_by_index(random.Random(_RNG_SEED + n).randrange(group.total_order))
         for k in ks:
             brute = expsums.gauss_sum_brute(sample, k)
-            if not abs(brute.value - taus[k][sample.index]) <= brute.error_budget:
-                sample_failures += 1
+            sample_failures += not expsums.agrees(abs(brute.value - taus[k][sample.index]), brute, n)
         reduced_taus: dict[tuple[int, int], np.ndarray] = {}
         for index, chi in enumerate(group.characters()):
             if chi.is_trivial:
@@ -602,16 +561,20 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                 if k % length != 0:
                     path = "vanishing"
                     claimed = 0j
+                    budgets = (n,)
                 else:
                     path = "reduced"
                     key = (q, k // length)
                     if key not in reduced_taus:
                         reduced_taus[key] = expsums.gauss_sums(chi1.group, k // length)
                     claimed = length * complex(reduced_taus[key][chi1.index])
+                    budgets = (n, length * q)
                 diff = abs(claimed - tau)
-                agree = diff < GAUSS_TOL
+                agree = expsums.agrees(diff, *budgets)
                 checked += 1
                 agree_count += agree
+                if agree:
+                    worst = max(worst, expsums.budget_ratio(diff, *budgets))
                 if compatible and not agree:
                     hard_failures += 1
                 if not agree:
@@ -634,7 +597,8 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     summary = (
         "reduction vs the unreduced FFT tau(chi, k) for imprimitive characters, "
         f"n <= {n_max}, k <= {k_max}: "
-        f"{agree_count}/{checked} agree; {len(findings)} disagreements recorded "
+        f"{agree_count}/{checked} agree {_AGREEMENT_RULE} "
+        f"(worst residual/budget {worst:.3f}); {len(findings)} disagreements recorded "
         f"({outside} at characters where n/q has a prime outside the conductor); "
         f"hard check failures where every prime of n/q divides q: {hard_failures}"
     )
@@ -761,8 +725,7 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
     rng = np.random.default_rng(_RNG_SEED)
     for n in sorted(rng.integers(2, 10_001, size=25).tolist()) + [9973, 10_000]:
         group = CharacterGroup(int(n))
-        arange = np.arange(n, dtype=np.int64)
-        units = arange[np.gcd(arange, int(n)) == 1]
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
         for _ in range(5):
             exps = tuple(int(rng.integers(0, m)) for m in group.orders)
             chi = group.character(exps)
@@ -774,6 +737,7 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
                     failures += 1
     for n in range(2, 61):
         group = CharacterGroup(n)
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
         for chi in group.characters():
             q, chi1 = chi.conductor()
             checked += 1
@@ -781,10 +745,8 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
                 failures += 1
             if chi.is_trivial and q != 1:
                 failures += 1
-            for w in range(n):
-                if math.gcd(w, n) == 1 and abs(chi(w) - chi1(w)) >= MULTIPLICATIVITY_TOL:
-                    failures += 1
-                    break
+            induced = np.abs(chi.value_table()[units] - chi1.value_table()[units % q])
+            failures += bool(induced.max() >= MULTIPLICATIVITY_TOL)
     for n in range(2, count_n_max + 1):
         group = CharacterGroup(n)
         checked += 1

@@ -63,21 +63,21 @@ class TestCriterion2And3Sums:
 class TestCriterion4Ramanujan:
     def test_closed_form_equivalence(self):
         (r,) = suites.suite_ramanujan(2000, 50)
-        report("4 unit-sum-closed-form", r.ok, f"{r.checked} (n, k) pairs within 1e-8")
+        report("4 unit-sum-closed-form", r.ok, f"{r.checked} (n, k) pairs within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
 
 
 class TestCriterion5PrimitiveGauss:
     def test_magnitude_sqrt_n(self):
         (r,) = suites.suite_gauss_primitive(500)
-        report("5 primitive-gauss-magnitude", r.ok, f"{r.checked} sums within 1e-6 of sqrt(n)")
+        report("5 primitive-gauss-magnitude", r.ok, f"{r.checked} magnitudes at sqrt(n) within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
 
 
 class TestCriterion6DualRoute:
     def test_enumeration_matches_orthogonality(self):
         (r,) = suites.suite_cancellation_dual(300, 20)
-        report("6 dual-route-agreement", r.ok, f"{r.checked} sums within 1e-6")
+        report("6 dual-route-agreement", r.ok, f"{r.checked} sums within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
 
 

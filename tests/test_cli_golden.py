@@ -1,8 +1,11 @@
-"""CLI stdout, byte for byte, against files captured from commit 0dea909.
+"""CLI stdout, byte for byte, against files captured from earlier commits.
 
-The files under tests/data/cli_stdout/ hold what that commit printed for
-each command below.  Any change to the numeric kernels must leave stdout
-identical: same counts, same floats to all 12 printed digits, same order.
+The files under tests/data/cli_stdout/ hold what commit 0dea909 printed
+for the witnesses, bounds, histogram, interval, weyl, sums and scan
+commands below, and what commit 2c495df printed for ramanujan, gauss and
+cancel.  Any change to the numeric kernels or to the agreement rule must
+leave stdout identical: same counts, same floats to all 12 printed digits,
+same verdicts, same order.
 """
 
 import contextlib
@@ -30,6 +33,22 @@ def _commands():
         yield f"weyl_{n}", ["weyl", "--n", n, "--k", "10"]
         yield f"sums_{n}", ["sums", "--n", n, "--k", "3"]
     yield "scan", ["scan", "--config", SCAN_CONFIG]
+    yield "ramanujan_200005", ["ramanujan", "--n", "200005", "--k", "3"]
+    yield "ramanujan_1056331", ["ramanujan", "--n", "1056331", "--k", "7"]
+    # 6561 = 3**8 on all three paths (chi**3 has conductor 2187 = 6561/3);
+    # 1024 = 2**10 reduced; 15 with a conductor-3 character, where l = 5
+    # has a prime outside q and the reduction disagrees with the brute sum
+    for name, n, char, k, power in (
+        ("primitive_6561", 6561, 1, 2, 1),
+        ("vanishing_6561", 6561, 3, 1, 1),
+        ("reduced_6561", 6561, 1, 3, 3),
+        ("reduced_1024", 1024, 2, 2, 1),
+        ("disagrees_15", 15, 4, 5, 1),
+    ):
+        yield f"gauss_{name}", ["gauss", "--n", str(n), "--char", str(char), "--k", str(k),
+                                "--power", str(power)]
+    yield "cancel_9", ["cancel", "--n", "9", "--alpha", "2", "--b", "7", "--k", "1"]
+    yield "cancel_1024", ["cancel", "--n", "1024", "--alpha", "2", "--b", "9", "--k", "3"]
 
 
 COMMANDS = dict(_commands())

@@ -10,7 +10,7 @@ from mrwitness import expsums
 from mrwitness.arith import sigma
 from mrwitness.characters import character_group
 from mrwitness.errors import DomainError
-from mrwitness.witness import WitnessClass
+from mrwitness.witness import WitnessClass, classify_all
 
 def e(x: float) -> complex:
     return cmath.exp(2j * cmath.pi * x)
@@ -83,6 +83,11 @@ class TestRamanujan:
         shared = brute_class_sum(n, k, [w for w in range(n) if math.gcd(w, n) > 1])
         assert r.complement.value == pytest.approx(shared, abs=1e-9)
 
+    def test_refused_past_2_31_before_allocating(self):
+        # the unit mask alone would take terabytes
+        with pytest.raises(DomainError, match="2\\*\\*31"):
+            expsums.ramanujan(2**40 + 1, 1)
+
 class TestGaussSums:
     def test_trivial_character_reduces_to_unit_sum(self):
         chi = character_group(9).trivial
@@ -141,6 +146,18 @@ class TestGaussSums:
         chi = g.character(exps)
         oracle = sum(chi(w) * e(k * w / n) for w in range(n))
         assert expsums.gauss_sum_brute(chi, k).value == pytest.approx(oracle, abs=1e-9)
+
+    def test_refused_past_2_31_before_allocating(self):
+        # both components are below the log-table limit; n-sized tables are not
+        chi = character_group(9999991 * 9999973).character_by_index(1)
+        for route in (
+            chi.value_table,
+            lambda: expsums.gauss_sum_brute(chi, 1),
+            lambda: expsums.gauss_sum_reduced(chi, 1),
+            lambda: expsums.gauss_sums(chi.group, 1),
+        ):
+            with pytest.raises(DomainError, match="2\\*\\*31"):
+                route()
 
 class TestGaussSumsFFT:
     # a prime, an odd prime power, 2**3 * 45, and four primes
@@ -269,3 +286,24 @@ class TestErrorBudget:
         s = expsums.weyl_sum(10001, 1, "witness")
         assert s.error_budget == 10001 * 2.0**-50
         assert s.error_budget >= s.term_count * 2.0**-50
+
+    def test_agreement_counts_the_budgets_of_the_values_compared(self):
+        s = expsums.weyl_sum(10001, 1, "witness")
+        assert expsums.budget_ratio(s.error_budget, s) == 1.0
+        assert expsums.budget_ratio(s.error_budget, s, 10001) == 0.5  # an FFT value mod 10001
+        assert not expsums.agrees(s.error_budget, s)
+        assert expsums.agrees(s.error_budget, s, 10001)
+        assert expsums.agrees(np.array([0.0, 1e-12, 1e-11]), 10001).tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("n", [200005, 1056331])
+    def test_witness_sums_within_budget_of_an_fsum_reference(self, n):
+        """The reference is minus the math.fsum of cos and sin over the
+        non-witnesses, since the sum over all of [0, n) vanishes."""
+        nonwitnesses = classify_all(n).nonwitnesses.tolist()
+        for rep in expsums.decomposition_reports(n, range(1, 11)):
+            angles = [2 * math.pi * (rep.k * w % n) / n for w in nonwitnesses]
+            ref = -complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+            diff = abs(rep.witness_sum.value - ref)
+            ratio = expsums.budget_ratio(diff, rep.witness_sum)
+            print(f"n={n} k={rep.k} |S_k - reference| = {diff:.3e}, {ratio:.3f} of the budget")
+            assert expsums.agrees(diff, rep.witness_sum)

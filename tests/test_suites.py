@@ -1,6 +1,7 @@
 import numpy as np
 
 from mrwitness import _scan, characters, expsums, suites
+from mrwitness.arith import euler_phi
 
 
 def _partition(n_max):
@@ -75,8 +76,8 @@ def test_imprimitive_catches_a_wrong_reduction(monkeypatch):
 
 def test_imprimitive_findings_match_the_reduction_formula():
     """Every finding is an imprimitive character whose reduced path
-    differs from tau(chi, k) by more than the tolerance, recomputed here
-    from the term-by-term sums."""
+    differs from tau(chi, k) by more than the error budgets of the values
+    compared, recomputed here from the term-by-term sums."""
     (r,) = suites.suite_imprimitive(40, 9)
     assert r.findings
     for f in r.findings[:: max(1, len(r.findings) // 25)]:
@@ -88,13 +89,39 @@ def test_imprimitive_findings_match_the_reduction_formula():
 
 
 def test_imprimitive_catches_an_fft_off_the_brute_sum(monkeypatch):
-    """A shift of every FFT value by 1e-9 leaves each reduction within its
-    1e-6 tolerance; only the term-by-term sample sees it."""
-    original = expsums.gauss_sums
-    monkeypatch.setattr(expsums, "gauss_sums", lambda group, k: original(group, k) + 1e-9)
+    """A shift of the term-by-term sum by 1e-9 is seen by the seeded sample
+    alone, at every (n, k): the reductions take both sides from the FFT."""
+    original = expsums.gauss_sum_brute
+
+    def gauss_sum_brute(chi, k):
+        s = original(chi, k)
+        return expsums.ComplexSum(s.real + 1e-9, s.imag, s.term_count, s.error_budget)
+
+    monkeypatch.setattr(expsums, "gauss_sum_brute", gauss_sum_brute)
     (r,) = suites.suite_imprimitive(40, 9)
     assert not r.ok and r.failures == 38 * 9
     assert "seeded character" in r.summary
+
+
+def test_imprimitive_fft_shift_fails_the_hard_reductions(monkeypatch):
+    """A shift of every FFT value by 1e-9 is far beyond the budgets of
+    n <= 40: besides the sample, every reduction disagrees, the exact ones
+    where every prime of n/q divides q among them."""
+    original = expsums.gauss_sums
+    monkeypatch.setattr(expsums, "gauss_sums", lambda group, k: original(group, k) + 1e-9)
+    (r,) = suites.suite_imprimitive(40, 9)
+    hard = sum(f["zero_sets_match"] for f in r.findings)
+    assert not r.ok and len(r.findings) == r.checked and hard > 0
+    assert r.failures == 38 * 9 + hard
+
+
+def test_characters_catches_a_trivial_inducing_character(monkeypatch):
+    """Every nontrivial character mod n <= 60 then differs on the units
+    from the character its conductor returns: one failure each."""
+    trivial = characters.CharacterGroup(1).trivial
+    monkeypatch.setattr(characters.DirichletCharacter, "conductor", lambda self: (1, trivial))
+    (r,) = suites.suite_characters(10, 10)
+    assert not r.ok and r.failures == sum(euler_phi(n) - 1 for n in range(2, 61))
 
 
 def test_gauss_primitive_catches_a_scaled_tau(monkeypatch):
