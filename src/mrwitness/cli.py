@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import equidist, expsums, suites
 from .arith import is_prime
 from .characters import character_group
-from .concurrency import set_thread_count
 from .errors import DomainError
 from .witness import bound_report, classify, classify_all, mr_decompose
 
@@ -97,9 +96,8 @@ def cmd_classify(args) -> int:
 def cmd_witnesses(args) -> int:
     scan = classify_all(args.n)
     counts = scan.counts
-    if counts.witness == 0:
-        raise DomainError("n is prime: witness set empty" if counts.non_coprime <= 1
-                          else f"n={args.n} has no witnesses")
+    if counts.witness == 0:  # at odd n >= 3, only when n is prime
+        raise DomainError("n is prime: witness set empty")
     _print_kv(
         [
             ("n", args.n),
@@ -190,14 +188,13 @@ def cmd_sums(args) -> int:
 
 def cmd_ramanujan(args) -> int:
     r = expsums.ramanujan(args.n, args.k)
-    diff = abs(r.brute.value - r.closed)
     _print_kv(
         [
             ("closed", r.closed),
             ("brute_re", r.brute.real),
             ("brute_im", r.brute.imag),
-            ("difference", diff),
-            ("agrees", expsums.agrees(diff, r.brute)),
+            ("difference", r.difference),
+            ("agrees", r.agrees),
             ("complement_re", r.complement.real),
             ("complement_im", r.complement.imag),
         ]
@@ -356,9 +353,8 @@ def cmd_scan(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.threads:
-        set_thread_count(cfg.threads)
-    rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins)
+    rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins,
+                         max_workers=cfg.threads or args.threads)
     for row in rows:
         print(f"scan n={row.n} runtime_ms={row.runtime_ms:.1f}", file=sys.stderr)
     header = _scan_header(cfg.k_max)
@@ -413,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify strong-compositeness witnesses and the exponential sums over them.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="bound worker concurrency (default: all cores; env WITNESS_THREADS)")
+                        help="scan worker threads when its config sets none "
+                             "(default: env WITNESS_THREADS, else all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write n-1 = d * 2^s")
@@ -491,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        set_thread_count(args.threads)
     try:
         return args.fn(args)
     except DomainError as exc:

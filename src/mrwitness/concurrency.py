@@ -1,23 +1,16 @@
-"""Worker-count plumbing shared by the CLI --threads flag and the
-WITNESS_THREADS environment variable."""
+"""Worker-count plumbing shared by the CLI (config key `threads`, then
+the --threads flag) and the WITNESS_THREADS environment variable."""
 
 from __future__ import annotations
 
 import os
 
-_configured: int | None = None
-
-
-def set_thread_count(count: int | None) -> None:
-    global _configured
-    _configured = max(1, count) if count else None
-
 
 def thread_count(override: int | None = None) -> int:
+    """override when set (nonzero), else WITNESS_THREADS when a positive
+    integer, else the CPU count; at least 1."""
     if override:
         return max(1, override)
-    if _configured:
-        return _configured
     env = os.environ.get("WITNESS_THREADS", "")
     if env.isdigit() and int(env) > 0:
         return int(env)

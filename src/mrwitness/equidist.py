@@ -36,16 +36,39 @@ class HistogramReport:
     chi_square_like: float
 
 
-def _bin_counts(scan: ResidueScan, bins: int) -> np.ndarray:
-    """Witnesses per bin, bin of w = floor(bins * w / n), from the non-witnesses.
+def _witness_scan(n: int) -> ResidueScan:
+    """classify_all(n), refused when the witness set W(n) is empty."""
+    scan = classify_all(n)
+    if scan.counts.witness == 0:
+        raise DomainError(f"{n} has no witnesses")
+    return scan
+
+
+def _binned(scan: ResidueScan, bins: int) -> tuple[np.ndarray, float, float]:
+    """(witnesses per bin, their mean, max |count - mean|), bin of w =
+    floor(bins * w / n), counted from the non-witnesses.
 
     Bin b holds the residues ceil(b * n / bins) <= w < ceil((b + 1) * n / bins)
     (integer arithmetic: no float boundary wobble); the non-witnesses in it
-    are subtracted.  Needs n * bins < 2**62.
+    are subtracted.  Needs n * bins < 2**62, checked before the bin arrays
+    are built.
     """
     n = scan.n
+    if bins < 1:
+        raise DomainError(f"need at least one bin, got {bins}")
+    if n * bins >= _INT64_MAX:
+        raise DomainError("n * bin_count too large for exact integer binning")
     edges = -(-np.arange(bins + 1, dtype=np.int64) * n // bins)  # ceil(b * n / bins)
-    return np.diff(edges) - np.bincount(scan.nonwitnesses * bins // n, minlength=bins)
+    counts = np.diff(edges) - np.bincount(scan.nonwitnesses * bins // n, minlength=bins)
+    mean = scan.counts.witness / bins
+    return counts, mean, float(np.abs(counts - mean).max())
+
+
+def _weyl_magnitudes(scan: ResidueScan, k_max: int) -> list[float]:
+    """|S_k| over the witnesses of scan, for k = 1..k_max."""
+    if k_max < 1:
+        raise DomainError(f"need k_max >= 1, got {k_max}")
+    return [abs(z) for z in _phase_sums(scan.witnesses, k_max, scan.n)]
 
 
 def histogram(n: int, bin_count: int) -> HistogramReport:
@@ -54,27 +77,17 @@ def histogram(n: int, bin_count: int) -> HistogramReport:
     Bin sizes are closed-form; only the non-witnesses (liars and residues
     sharing a factor with n, about n - phi(n) + #liars) are visited.
     """
-    if bin_count < 1:
-        raise DomainError(f"need at least one bin, got {bin_count}")
-    if is_prime(n):
-        raise DomainError(f"{n} is prime: witness set empty")
-    if n * bin_count >= _INT64_MAX:
-        raise DomainError("n * bin_count too large for exact integer binning")
-    scan = classify_all(n)
-    counts = _bin_counts(scan, bin_count)
-    total = scan.counts.witness
-    mean = total / bin_count
-    dev = float(np.abs(counts - mean).max())
-    chi2 = float(((counts - mean) ** 2 / mean).sum()) if mean > 0 else 0.0
+    scan = _witness_scan(n)
+    counts, mean, dev = _binned(scan, bin_count)
     return HistogramReport(
         n=n,
         bin_count=bin_count,
         counts=tuple(int(c) for c in counts),
-        total_witnesses=total,
+        total_witnesses=scan.counts.witness,
         mean=mean,
         max_abs_deviation=dev,
-        max_relative_deviation=dev / mean if mean > 0 else 0.0,
-        chi_square_like=chi2,
+        max_relative_deviation=dev / mean,
+        chi_square_like=float(((counts - mean) ** 2 / mean).sum()),
     )
 
 
@@ -88,10 +101,8 @@ def interval_fraction(n: int, a: float, b: float) -> tuple[float, float]:
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
-    scan = classify_all(n)
+    scan = _witness_scan(n)
     total = scan.counts.witness
-    if total == 0:
-        raise DomainError(f"{n} has no witnesses")
     lo, hi = a * n, b * n
     span = max(0, min(n - 1, math.floor(hi)) - max(0, math.ceil(lo)) + 1)
     nw = scan.nonwitnesses
@@ -119,8 +130,6 @@ def _witness_discrepancy(scan: ResidueScan) -> float:
     """D* of {w / n : w a witness}, from the two ends of each run of
     consecutive witnesses; see star_discrepancy."""
     n, N = scan.n, scan.counts.witness
-    if N == 0:
-        raise DomainError(f"{n} has no witnesses")
     fences = np.concatenate(([-1], scan.nonwitnesses, [n]))
     gap = np.flatnonzero(np.diff(fences) > 1)  # a run lies between fences gap, gap + 1
     first = fences[gap] + 1
@@ -144,7 +153,7 @@ def star_discrepancy(n: int) -> float:
     term (a few units of 2**-53), so the computed values are strictly
     monotone within a run and the two maxima are the same floats.
     """
-    return _witness_discrepancy(classify_all(n))
+    return _witness_discrepancy(_witness_scan(n))
 
 
 @dataclass(frozen=True)
@@ -156,18 +165,9 @@ class WeylRow:
 
 def weyl_battery(n: int, k_max: int) -> list[WeylRow]:
     """|S_k| and |S_k| / #W over the witness set, for k = 1..k_max."""
-    if k_max < 1:
-        raise DomainError(f"need k_max >= 1, got {k_max}")
-    scan = classify_all(n)
-    ws = scan.witnesses
-    count = len(ws)
-    if count == 0:
-        raise DomainError(f"{n} has no witnesses")
-    rows = []
-    for k, z in enumerate(_phase_sums(ws, k_max, n), 1):
-        mag = abs(z)
-        rows.append(WeylRow(k, mag, mag / count))
-    return rows
+    scan = _witness_scan(n)
+    count = scan.counts.witness
+    return [WeylRow(k, mag, mag / count) for k, mag in enumerate(_weyl_magnitudes(scan, k_max), 1)]
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,15 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     """All per-n trend statistics; `bins` adds the histogram flatness
     max|count - mean| / mean without a second classification pass."""
     t0 = time.perf_counter()
-    full = classify_all(n)
+    full = _witness_scan(n)
+    count = full.counts.witness
     dstar = _witness_discrepancy(full)
-    ws = full.witnesses
-    count = len(ws)
-    ratios = tuple(abs(z) / count for z in _phase_sums(ws, k_max, n))
+    ratios = tuple(mag / count for mag in _weyl_magnitudes(full, k_max))
     lw, _ = least_witness(n)
     flatness = None
     if bins is not None:
-        if bins < 1:
-            raise DomainError(f"need at least one bin, got {bins}")
-        counts = _bin_counts(full, bins)
-        mean = count / bins
-        flatness = float(np.abs(counts - mean).max() / mean) if mean > 0 else 0.0
+        _, mean, dev = _binned(full, bins)
+        flatness = dev / mean
     ms = (time.perf_counter() - t0) * 1000.0
     return ScanRow(
         n=n,

@@ -158,6 +158,8 @@ class RamanujanSum:
     closed is the integer sum over s | gcd(n, k) of s * mu(n / s); brute is
     the term-by-term unit sum; complement negates brute and equals the sum
     over residues sharing a factor with n whenever n does not divide k.
+    `agrees` reports whether closed and brute differ by less than the
+    brute sum's error budget (the closed form is exact and counts none).
     """
 
     n: int
@@ -165,21 +167,24 @@ class RamanujanSum:
     closed: int
     brute: ComplexSum
     complement: ComplexSum
+    difference: float
+    agrees: bool
 
 
 def ramanujan(n: int, k: int) -> RamanujanSum:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    closed = ramanujan_closed(n, k)
-    if n == 1:
-        brute = _csum(1 + 0j, 1, 1)
-        return RamanujanSum(1, k, closed, brute, _csum(0j, 0, 1))
     if n >= _witness._BATCH_LIMIT:
         raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    z = _phase_sum(units, k, n)
-    brute = _csum(z, len(units), n)
-    return RamanujanSum(n, k, closed, brute, _csum(-z, n - len(units), n))
+    closed = ramanujan_closed(n, k)
+    if n == 1:
+        brute, complement = _csum(1 + 0j, 1, 1), _csum(0j, 0, 1)
+    else:
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+        z = _phase_sum(units, k, n)
+        brute, complement = _csum(z, len(units), n), _csum(-z, n - len(units), n)
+    diff = abs(brute.value - closed)
+    return RamanujanSum(n, k, closed, brute, complement, diff, agrees(diff, brute))
 
 
 def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:

@@ -5,7 +5,8 @@ A suite returns one or more SuiteResults.  `hard` marks suites whose
 failures are defects; soft suites record findings (observed violations of
 literature bounds, reduction-formula disagreements) that are deliverables
 rather than errors.  A suite function that shares one expensive scan
-between several results runs once per `run_suites` call.
+between several results runs once per `run_suites` call, which also times
+it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -59,31 +60,30 @@ _AGREEMENT_RULE = "within the error budgets of the values compared"
 
 @dataclass
 class SuiteResult:
+    """One verdict of a suite.
+
+    `ok` is set from `failures == 0` and stays a plain attribute.  `hard`
+    (keyword only) is False for soft results, whose findings are not
+    defects.  `elapsed_s` is the wall time of the suite function that
+    produced the result, stamped by `run_suites`; 0.0 on a direct call.
+    """
+
     name: str
-    ok: bool
-    hard: bool
     checked: int
     failures: int
     summary: str
     findings: list[dict] = field(default_factory=list)
+    _: KW_ONLY
+    hard: bool = True
     elapsed_s: float = 0.0
+    ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ok = self.failures == 0
 
     @property
     def verdict(self) -> str:
         return "PASS" if self.ok else "FAIL"
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        results = fn(*args, **kwargs)
-        dt = time.perf_counter() - t0
-        for r in results:
-            if r.elapsed_s == 0.0:
-                r.elapsed_s = dt
-        return results
-
-    return wrapper
 
 
 PARTITION_PRIME_SAMPLE = 64
@@ -162,7 +162,6 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
     return set(n[bad].tolist())
 
 
-@_timed
 def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
@@ -244,8 +243,6 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     failed |= _pow_recheck(batch)
     partition = SuiteResult(
         "partition",
-        not failed,
-        True,
         checked,
         len(failed),
         f"odd n in [3, {n_max}]: four classes partition [0, n); class and stage counts "
@@ -254,8 +251,6 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     )
     rabin = SuiteResult(
         "rabin",
-        rabin_fail == 0,
-        True,
         composites,
         rabin_fail,
         f"strong liars <= (n-1)/4 for all odd composite n <= {n_max}; "
@@ -265,7 +260,6 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     return [partition, rabin]
 
 
-@_timed
 def suite_cancellation_additivity(
     n_max: int = SUM_N_MAX, k_max: int = SUM_K_MAX
 ) -> list[SuiteResult]:
@@ -295,11 +289,10 @@ def suite_cancellation_additivity(
                     f"worst residual/budget {worst_total:.3f}")
     additivity = (f"complement = shared-factor + root + minus-one sums {_AGREEMENT_RULE}; "
                   f"worst residual/budget {worst_partition:.3f}")
-    return [SuiteResult("cancellation", cancel_fail == 0, True, checked, cancel_fail, cancellation),
-            SuiteResult("additivity", add_fail == 0, True, checked, add_fail, additivity)]
+    return [SuiteResult("cancellation", checked, cancel_fail, cancellation),
+            SuiteResult("additivity", checked, add_fail, additivity)]
 
 
-@_timed
 def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) -> list[SuiteResult]:
     """Closed form vs brute force within the brute sum's error budget (the
     closed form is exact) for all n <= n_max, k <= k_max, plus the
@@ -310,20 +303,18 @@ def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) 
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             r = expsums.ramanujan(n, k)
-            diff = abs(r.brute.value - r.closed)
-            worst = max(worst, expsums.budget_ratio(diff, r.brute))
+            worst = max(worst, expsums.budget_ratio(r.difference, r.brute))
             checked += 1
-            failures += not expsums.agrees(diff, r.brute) or abs(r.closed) > sigma(math.gcd(n, k))
+            failures += not r.agrees or abs(r.closed) > sigma(math.gcd(n, k))
     summary = (f"unit-sum closed form == brute {_AGREEMENT_RULE} "
                f"(worst residual/budget {worst:.3f}) and |sum| <= sigma(gcd(n, k))")
-    return [SuiteResult("ramanujan", failures == 0, True, checked, failures, summary)]
+    return [SuiteResult("ramanujan", checked, failures, summary)]
 
 
 def _first_coprime_ks(n: int, how_many: int) -> list[int]:
     return list(itertools.islice((k for k in itertools.count(1) if math.gcd(k, n) == 1), how_many))
 
 
-@_timed
 def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[SuiteResult]:
     """|tau(chi, k)| = sqrt(n) within the FFT value's error budget for every
     primitive character mod n <= n_max, at the k_count smallest frequencies
@@ -344,10 +335,9 @@ def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[Su
             failures += int(np.count_nonzero(~expsums.agrees(dev, n)))
     summary = (f"primitive Gauss sums have magnitude sqrt(n) {_AGREEMENT_RULE} "
                f"for n <= {n_max} (worst residual/budget {worst:.3f})")
-    return [SuiteResult("gauss-primitive", failures == 0, True, checked, failures, summary)]
+    return [SuiteResult("gauss-primitive", checked, failures, summary)]
 
 
-@_timed
 def suite_cancellation_dual(n_max: int = DUAL_N_MAX, pairs: int = DUAL_PAIRS) -> list[SuiteResult]:
     """Direct enumeration of the power-residue sum vs the
     character-orthogonality average (`expsums.cancellation_sum_dual`: pow
@@ -376,7 +366,7 @@ def suite_cancellation_dual(n_max: int = DUAL_N_MAX, pairs: int = DUAL_PAIRS) ->
                 failures += not dual.agrees
     summary = (f"direct power-residue sums match the character-orthogonality route "
                f"{_AGREEMENT_RULE} (worst residual/budget {worst:.3f})")
-    return [SuiteResult("cancel-dual", failures == 0, True, checked, failures, summary)]
+    return [SuiteResult("cancel-dual", checked, failures, summary)]
 
 
 def _prime_sieve(n_max: int) -> np.ndarray:
@@ -389,7 +379,6 @@ def _prime_sieve(n_max: int) -> np.ndarray:
     return sieve
 
 
-@_timed
 def suite_bach(n_max: int = BACH_N_MAX) -> list[SuiteResult]:
     """least witness <= 2 (ln n)^2 for every odd composite n <= n_max.
     Violations of this conditional bound are findings, not failures."""
@@ -408,22 +397,12 @@ def suite_bach(n_max: int = BACH_N_MAX) -> list[SuiteResult]:
         max_ratio = max(max_ratio, lw / bound)
         if lw > bound:
             findings.append({"n": n, "least_witness": lw, "bound": bound})
-    return [
-        SuiteResult(
-            "bach",
-            True,
-            False,
-            checked,
-            0,
-            f"least witness <= 2 ln(n)^2 for odd composite n <= {n_max}: "
-            f"{len(findings)} violations; max least witness {max_lw}, "
-            f"max witness/bound ratio {max_ratio:.4f}",
-            findings,
-        )
-    ]
+    summary = (f"least witness <= 2 ln(n)^2 for odd composite n <= {n_max}: "
+               f"{len(findings)} violations; max least witness {max_lw}, "
+               f"max witness/bound ratio {max_ratio:.4f}")
+    return [SuiteResult("bach", checked, 0, summary, findings, hard=False)]
 
 
-@_timed
 def suite_figure_histogram(n: int = FIGURE_N, bins: int = FIGURE_BINS) -> list[SuiteResult]:
     """The 10000-bin witness histogram of n = 1056331: finishes under 60 s,
     conserves the witness count, and no bin is empty or twice the mean
@@ -432,25 +411,14 @@ def suite_figure_histogram(n: int = FIGURE_N, bins: int = FIGURE_BINS) -> list[S
     report = equidist.histogram(n, bins)
     dt = time.perf_counter() - t0
     conserved = sum(report.counts) == report.total_witnesses
-    flat = report.max_relative_deviation < 1.0
-    fast = dt < 60.0
-    ok = conserved and flat and fast
-    return [
-        SuiteResult(
-            "figure1",
-            ok,
-            True,
-            bins,
-            0 if ok else 1,
-            f"n={n} bins={bins}: witnesses={report.total_witnesses} mean={report.mean:.4f} "
-            f"min_bin={min(report.counts)} max_bin={max(report.counts)} "
-            f"max_rel_dev={report.max_relative_deviation:.12g} "
-            f"chi2_like={report.chi_square_like:.6g} time={dt:.2f}s",
-        )
-    ]
+    failures = [conserved, report.max_relative_deviation < 1.0, dt < 60.0].count(False)
+    summary = (f"n={n} bins={bins}: witnesses={report.total_witnesses} mean={report.mean:.4f} "
+               f"min_bin={min(report.counts)} max_bin={max(report.counts)} "
+               f"max_rel_dev={report.max_relative_deviation:.12g} "
+               f"chi2_like={report.chi_square_like:.6g}")
+    return [SuiteResult("figure1", bins, failures, summary)]
 
 
-@_timed
 def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResult]:
     """Across the least odd composites >= 10^3, 10^4, 10^5, 10^6 both the
     star discrepancy and max_k |S_k|/#W must strictly decrease.  Hard.
@@ -469,7 +437,6 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
     ratios = [max(r.weyl_ratios) for r in rows]
     decreasing_d = all(a > b for a, b in zip(dstars, dstars[1:]))
     decreasing_r = all(a > b for a, b in zip(ratios, ratios[1:]))
-    ok = decreasing_d and decreasing_r
     findings = [
         {
             "n": r.n,
@@ -495,26 +462,18 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
                     "previous_star_discrepancy": prev.star_discrepancy,
                 }
             )
-    return [
-        SuiteResult(
-            "trend",
-            ok,
-            True,
-            len(rows),
-            0 if ok else 1,
-            "star discrepancy "
-            + (" > ".join(f"{d:.3e}" for d in dstars))
-            + ("  (strictly decreasing)" if decreasing_d else "  (NOT decreasing)")
-            + "; max weyl ratio "
-            + (" > ".join(f"{r:.3e}" for r in ratios))
-            + ("  (strictly decreasing)" if decreasing_r else "  (NOT decreasing)")
-            + f"; soft discrepancy/ratio consistency notes: {soft_notes}",
-            findings,
-        )
-    ]
+    summary = (
+        "star discrepancy "
+        + (" > ".join(f"{d:.3e}" for d in dstars))
+        + ("  (strictly decreasing)" if decreasing_d else "  (NOT decreasing)")
+        + "; max weyl ratio "
+        + (" > ".join(f"{r:.3e}" for r in ratios))
+        + ("  (strictly decreasing)" if decreasing_r else "  (NOT decreasing)")
+        + f"; soft discrepancy/ratio consistency notes: {soft_notes}"
+    )
+    return [SuiteResult("trend", len(rows), [decreasing_d, decreasing_r].count(False), summary, findings)]
 
 
-@_timed
 def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K_MAX) -> list[SuiteResult]:
     """Conductor-based reduction vs the unreduced sum for every nontrivial
     imprimitive character mod n <= n_max and k <= k_max, both sides from
@@ -605,10 +564,9 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     if sample_failures:
         summary += f"; FFT off the term-by-term sum of a seeded character: {sample_failures}"
     failures = hard_failures + sample_failures
-    return [SuiteResult("imprimitive", failures == 0, True, checked, failures, summary, findings)]
+    return [SuiteResult("imprimitive", checked, failures, summary, findings)]
 
 
-@_timed
 def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[SuiteResult]:
     """Record max |S'| / sqrt(n) over the power-residue sums of every odd
     composite n <= n_max, and assert the generous envelope
@@ -639,21 +597,12 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[Sui
                     max_at = n
                 if mag > envelope:
                     failures += 1
-    return [
-        SuiteResult(
-            "cancel-ratio",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"power-residue sums over odd composite n <= {n_max}, k in {tuple(ks)}: "
-            f"max |S'|/sqrt(n) = {max_ratio:.6f} at n = {max_at}; "
-            f"envelope sigma(k) sqrt(n) tau(n) violated {failures} times",
-        )
-    ]
+    summary = (f"power-residue sums over odd composite n <= {n_max}, k in {tuple(ks)}: "
+               f"max |S'|/sqrt(n) = {max_ratio:.6f} at n = {max_at}; "
+               f"envelope sigma(k) sqrt(n) tau(n) violated {failures} times")
+    return [SuiteResult("cancel-ratio", checked, failures, summary)]
 
 
-@_timed
 def suite_arith(
     phi_n_max: int = 10_000, roundtrip_n_max: int = 1_000_000
 ) -> list[SuiteResult]:
@@ -695,20 +644,11 @@ def suite_arith(
             failures += 1
         if any(e < 1 for _, e in fac.factors) or not all(sieve[p] for p in fac.primes):
             failures += 1
-    return [
-        SuiteResult(
-            "arith",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"phi brute-counted to {phi_n_max}, Mobius divisor identity, "
-            f"primitive-root orders, factorization round trip to {roundtrip_n_max}",
-        )
-    ]
+    summary = (f"phi brute-counted to {phi_n_max}, Mobius divisor identity, "
+               f"primitive-root orders, factorization round trip to {roundtrip_n_max}")
+    return [SuiteResult("arith", checked, failures, summary)]
 
 
-@_timed
 def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[SuiteResult]:
     """Orthogonality, multiplicativity, induced-value identity, and
     character counts.  Hard."""
@@ -756,17 +696,9 @@ def suite_characters(orth_n_max: int = 300, count_n_max: int = 1000) -> list[Sui
             tables = {tuple(np.round(chi.value_table(), 9)) for chi in group.characters()}
             if len(tables) != group.total_order:
                 failures += 1
-    return [
-        SuiteResult(
-            "characters",
-            failures == 0,
-            True,
-            checked,
-            failures,
-            f"orthogonality to n <= {orth_n_max}, multiplicativity on random units, "
-            f"induced values match on units, phi(n) distinct characters",
-        )
-    ]
+    summary = (f"orthogonality to n <= {orth_n_max}, multiplicativity on random units, "
+               f"induced values match on units, phi(n) distinct characters")
+    return [SuiteResult("characters", checked, failures, summary)]
 
 
 _REGISTRY = {
@@ -792,7 +724,7 @@ SUITE_NAMES = tuple(_REGISTRY)
 def run_suites(names=None) -> list[SuiteResult]:
     """Run the requested suites (all when names is None) and return their
     results in request order.  A suite function that yields several results
-    runs once per call."""
+    runs once per call; each result's elapsed_s is that run's wall time."""
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in _REGISTRY]
@@ -803,6 +735,11 @@ def run_suites(names=None) -> list[SuiteResult]:
     for name in dict.fromkeys(names):
         fn = _REGISTRY[name]
         if fn not in ran:
-            ran[fn] = {r.name: r for r in fn()}
+            t0 = time.perf_counter()
+            results = fn()
+            elapsed = time.perf_counter() - t0
+            for r in results:
+                r.elapsed_s = elapsed
+            ran[fn] = {r.name: r for r in results}
         out.append(ran[fn][name])
     return out

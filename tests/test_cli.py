@@ -1,11 +1,14 @@
 import csv
+import itertools
 import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from mrwitness import cli
+from mrwitness import cli, concurrency, suites
 
 
 def run_cli(*argv):
@@ -213,6 +216,20 @@ class TestVerifyCommand:
             cli.main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
+    def test_stdout_does_not_depend_on_the_clock(self, monkeypatch, capsys):
+        """Two fake clocks ticking at different rates: stdout is the same,
+        only the elapsed line on stderr moves."""
+        outs, errs = [], []
+        for step in (1e-3, 7.0):
+            ticks = itertools.count()
+            monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * step))
+            code, out = run_cli("verify", "--suite", "figure1")
+            assert code == 0
+            outs.append(out)
+            errs.append(capsys.readouterr().err)
+        assert outs[0] == outs[1]
+        assert errs == ["suite figure1 elapsed 0.0s\n", "suite figure1 elapsed 21.0s\n"]
+
 
 class TestEntryPoint:
     def test_subprocess_invocation(self):
@@ -227,19 +244,42 @@ class TestEntryPoint:
 
 class TestThreads:
     def test_env_var_fallback(self, monkeypatch):
-        from mrwitness import concurrency
-
         monkeypatch.setenv("WITNESS_THREADS", "3")
-        concurrency.set_thread_count(None)
         assert concurrency.thread_count() == 3
-        concurrency.set_thread_count(2)  # flag wins over the env var
-        assert concurrency.thread_count() == 2
-        assert concurrency.thread_count(override=5) == 5
-        concurrency.set_thread_count(None)
+        assert concurrency.thread_count(0) == 3  # 0 means unset
+        assert concurrency.thread_count(override=5) == 5  # a set count wins over the env var
+        assert concurrency.thread_count(override=-2) == 1
+        monkeypatch.setenv("WITNESS_THREADS", "0")
+        assert concurrency.thread_count() == (os.cpu_count() or 1)
 
     def test_flag_parses(self):
         code, out = run_cli("--threads", "1", "decompose", "--n", "9")
         assert code == 0 and out == "d=1 s=3\n"
-        from mrwitness import concurrency
 
-        concurrency.set_thread_count(None)
+    @pytest.mark.parametrize("config_threads, flag, expected", [
+        ("2", "3", 2),  # the config key first
+        ("0", "3", 3),  # 0 is unset: then --threads
+        (None, "3", 3),
+        (None, "0", 5),  # then WITNESS_THREADS
+        (None, None, 5),
+    ])
+    def test_scan_worker_precedence(self, config_threads, flag, expected, tmp_path, monkeypatch):
+        monkeypatch.setenv("WITNESS_THREADS", "5")
+        workers = []
+        original = concurrency.thread_count
+
+        def thread_count(override=None):
+            workers.append(original(override))
+            return workers[-1]
+
+        monkeypatch.setattr(concurrency, "thread_count", thread_count)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_values = 9, 15\nk_max = 2\n"
+                       + (f"threads = {config_threads}\n" if config_threads is not None else ""))
+        argv = ["scan", "--config", str(cfg)]
+        if flag is not None:
+            argv = ["--threads", flag] + argv
+        assert run_cli(*argv)[0] == 0
+        assert run_cli("scan", "--config", str(cfg))[0] == 0  # the flag does not outlive its call
+        assert workers[0] == expected
+        assert workers[1] == (2 if config_threads == "2" else 5)

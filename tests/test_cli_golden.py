@@ -3,9 +3,13 @@
 The files under tests/data/cli_stdout/ hold what commit 0dea909 printed
 for the witnesses, bounds, histogram, interval, weyl, sums and scan
 commands below, and what commit 2c495df printed for ramanujan, gauss and
-cancel.  Any change to the numeric kernels or to the agreement rule must
-leave stdout identical: same counts, same floats to all 12 printed digits,
-same verdicts, same order.
+cancel.  verify_trend.txt is what commit 2857f5f printed for
+`verify --suite trend`; verify_figure1.txt is what it printed for
+`verify --suite figure1` with the run-dependent ` time=...s` cut from the
+end of the summary, which no longer prints it.  Any change to the numeric
+kernels, the agreement rule or the suite runner must leave stdout
+identical: same counts, same floats to all 12 printed digits, same
+verdicts, same order.
 """
 
 import contextlib
@@ -49,6 +53,8 @@ def _commands():
                                 "--power", str(power)]
     yield "cancel_9", ["cancel", "--n", "9", "--alpha", "2", "--b", "7", "--k", "1"]
     yield "cancel_1024", ["cancel", "--n", "1024", "--alpha", "2", "--b", "9", "--k", "3"]
+    yield "verify_trend", ["verify", "--suite", "trend"]
+    yield "verify_figure1", ["verify", "--suite", "figure1"]
 
 
 COMMANDS = dict(_commands())

@@ -174,6 +174,25 @@ class TestScan:
         with pytest.raises(ArithmeticError, match="row 21 failed"):
             equidist.scan([9, 15, 21, 25, 27], k_max=2, max_workers=workers)
 
+    def test_no_frequencies_is_an_error_row(self):
+        (row,) = equidist.scan([15], k_max=0)
+        assert row.error == "need k_max >= 1, got 0"
+
+    def test_bins_past_exact_binning_is_an_error_row(self):
+        (row,) = equidist.scan([15], bins=2**62 // 15 + 1)  # not a 2**62-bin allocation
+        assert row.error == "n * bin_count too large for exact integer binning"
+
+    def test_empty_witness_set_has_one_message(self):
+        for call in (
+            lambda: equidist.histogram(13, 4),
+            lambda: equidist.interval_fraction(13, 0.0, 1.0),
+            lambda: equidist.star_discrepancy(13),
+            lambda: equidist.weyl_battery(13, 3),
+        ):
+            with pytest.raises(DomainError, match="^13 has no witnesses$"):
+                call()
+        assert equidist.scan([13])[0].error == "13 has no witnesses"
+
     def test_least_odd_composite(self):
         assert equidist.least_odd_composite_at_least(3) == 9
         assert equidist.least_odd_composite_at_least(9) == 9

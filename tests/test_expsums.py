@@ -73,6 +73,8 @@ class TestRamanujan:
         r = expsums.ramanujan(n, k)
         assert abs(r.brute.value - r.closed) < 1e-8
         assert abs(r.closed) <= sigma(math.gcd(n, k))
+        assert r.difference == abs(r.brute.value - r.closed)
+        assert r.agrees and r.difference < r.brute.error_budget  # the closed form counts none
 
     @given(st.integers(min_value=2, max_value=500), st.integers(min_value=1, max_value=30))
     @settings(max_examples=80, deadline=None)

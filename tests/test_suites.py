@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 
 from mrwitness import _scan, characters, expsums, suites
@@ -144,7 +147,7 @@ def test_run_suites_returns_request_order(monkeypatch):
     def suite(*names):
         def fn():
             calls.append(names)
-            return [suites.SuiteResult(name, True, True, 1, 0, "") for name in names]
+            return [suites.SuiteResult(name, 1, 0, "") for name in names]
         return fn
 
     pair = suite("partition", "rabin")
@@ -154,3 +157,29 @@ def test_run_suites_returns_request_order(monkeypatch):
     results = suites.run_suites(["partition", "ramanujan", "rabin", "partition"])
     assert [r.name for r in results] == ["partition", "ramanujan", "rabin"]
     assert calls == [("partition", "rabin"), ("ramanujan",)]
+
+
+def test_suite_result_ok_is_failures_zero_and_assignable():
+    assert suites.SuiteResult("x", 3, 0, "").ok
+    r = suites.SuiteResult("x", 3, 2, "")
+    assert not r.ok and r.verdict == "FAIL" and r.hard and r.elapsed_s == 0.0
+    r.ok = True  # a plain attribute, not a property
+    assert r.verdict == "PASS"
+    assert not suites.SuiteResult("x", 1, 0, "", hard=False).hard
+
+
+def test_run_suites_stamps_each_function_run_time(monkeypatch):
+    def pair():
+        return [suites.SuiteResult("partition", 1, 0, ""), suites.SuiteResult("rabin", 1, 0, "")]
+
+    ticks = itertools.count()
+    monkeypatch.setattr(suites, "_REGISTRY", {"partition": pair, "rabin": pair})
+    monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: 0.5 * next(ticks)))
+    assert [r.elapsed_s for r in suites.run_suites(["rabin", "partition"])] == [0.5, 0.5]
+    assert [r.elapsed_s for r in pair()] == [0.0, 0.0]  # a direct call is not timed
+
+
+def test_run_suites_sets_elapsed_on_every_result():
+    results = suites.run_suites(["figure1", "trend"])
+    assert [r.name for r in results] == ["figure1", "trend"]
+    assert all(r.ok and r.elapsed_s > 0 for r in results)
