@@ -100,7 +100,8 @@ def liar_codes(x: np.ndarray, n, s) -> tuple[np.ndarray, np.ndarray]:
 def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
     """Classify [0, n) by constructing the liar subgroups of each p**e || n.
 
-    factors: the (p, e) pairs of n.  Returns (codes, stages, counts, overlap).
+    factors: the (p, e) pairs of n.  Returns (codes, stages, overlap); the
+    class counts are `witness.monier_counts`, not read from the codes.
     """
     codes = np.zeros(n, np.uint8)
     stages = np.full(n, -1, np.int8)
@@ -135,14 +136,7 @@ def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
         if stage >= 0:
             stages[idx] = stage
 
-    nonzero = np.count_nonzero(codes)
-    overlap = written - nonzero
-    counts = np.zeros(4, np.int64)
-    counts[CODE_DTH_ROOT] = np.count_nonzero(codes == CODE_DTH_ROOT)
-    counts[CODE_MINUS_ONE] = np.count_nonzero(codes == CODE_MINUS_ONE)
-    counts[CODE_NON_COPRIME] = nonzero - counts[CODE_DTH_ROOT] - counts[CODE_MINUS_ONE]
-    counts[CODE_WITNESS] = n - nonzero
-    return codes, stages, counts, overlap
+    return codes, stages, written - np.count_nonzero(codes)
 
 
 def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:

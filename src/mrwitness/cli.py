@@ -9,16 +9,17 @@ identical invocations produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 from dataclasses import dataclass, field
 
 from . import equidist, expsums, suites
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .characters import character_group
 from .errors import DomainError
-from .witness import bound_report, classify, classify_all, mr_decompose
+from .witness import bound_report, classify, classify_all, monier_counts, mr_decompose
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -58,22 +59,27 @@ def _print_kv(pairs) -> None:
         print(f"{key}={_fmt(value)}")
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
+    """The file at path for writing; stdout when path is None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as f:
+            yield f
 
 
 def _write_csv(path: str | None, header, rows) -> None:
-    f, close = _open_out(path)
-    try:
+    with _open_out(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
-    finally:
-        if close:
-            f.close()
+
+
+def _write_json(path: str | None, payload) -> None:
+    with _open_out(path) as f:
+        f.write(json.dumps(_round12(payload), indent=2) + "\n")
 
 
 def cmd_decompose(args) -> int:
@@ -94,10 +100,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_witnesses(args) -> int:
-    scan = classify_all(args.n)
-    counts = scan.counts
+    dec = mr_decompose(args.n)
+    counts, _ = monier_counts(factorize(args.n), dec.d, dec.s)
     if counts.witness == 0:  # at odd n >= 3, only when n is prime
         raise DomainError("n is prime: witness set empty")
+    scan = classify_all(args.n) if args.out else None  # refuses n >= 2**31 before any output
     _print_kv(
         [
             ("n", args.n),
@@ -107,7 +114,7 @@ def cmd_witnesses(args) -> int:
             ("minus_one", counts.minus_one),
         ]
     )
-    if args.out:
+    if scan is not None:
         _write_csv(args.out, ["w"], ([int(w)] for w in scan.witnesses))
     return EXIT_OK
 
@@ -177,12 +184,7 @@ def cmd_sums(args) -> int:
         "residual_total": rep.residual_total,
         "residual_partition": rep.residual_partition,
     }
-    text = json.dumps(_round12(payload), indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -362,13 +364,7 @@ def cmd_scan(args) -> int:
     if cfg.output_format == "csv":
         _write_csv(cfg.output_path, header, data)
     else:
-        payload = [dict(zip(header, _round12(fields))) for fields in data]
-        text = json.dumps(payload, indent=2)
-        if cfg.output_path:
-            with open(cfg.output_path, "w") as f:
-                f.write(text + "\n")
-        else:
-            print(text)
+        _write_json(cfg.output_path, [dict(zip(header, fields)) for fields in data])
     if cfg.checks:
         results = suites.run_suites(cfg.checks)
         bad = _report_suites(results, None)
@@ -378,12 +374,13 @@ def cmd_scan(args) -> int:
 
 
 def _report_suites(results, out_path) -> bool:
-    hard_failure = False
+    runs: dict = {}  # suite function -> its results here, which share one run time
     for r in results:
         print(f"{r.verdict} {r.name} checked={r.checked} failures={r.failures} | {r.summary}")
-        print(f"suite {r.name} elapsed {r.elapsed_s:.1f}s", file=sys.stderr)
-        if not r.ok and r.hard:
-            hard_failure = True
+        runs.setdefault(suites._REGISTRY[r.name], []).append(r)
+    for run in runs.values():
+        names = ", ".join(r.name for r in run)
+        print(f"suite {names} elapsed {run[0].elapsed_s:.1f}s", file=sys.stderr)
     if out_path:
         keys = sorted({k for r in results for row in r.findings for k in row})
         header = ["suite", *keys]
@@ -392,7 +389,7 @@ def _report_suites(results, out_path) -> bool:
             for row in r.findings:
                 rows.append([r.name, *[_fmt(row[k]) if k in row else "" for k in keys]])
         _write_csv(out_path, header, rows)
-    return hard_failure
+    return any(r.hard and not r.ok for r in results)
 
 
 def cmd_verify(args) -> int:

@@ -33,7 +33,7 @@ from .arith import (
 )
 from .characters import CharacterGroup
 from .errors import DomainError
-from .witness import ClassCounts, classify_all, least_witness, mr_decompose
+from .witness import classify_all, least_witness, monier_counts, mr_decompose
 
 PARTITION_N_MAX = 100_000
 SUM_N_MAX = 10_000
@@ -90,46 +90,26 @@ PARTITION_PRIME_SAMPLE = 64
 _RECHECK_BATCH = 1 << 18
 
 
-def _monier_counts(fac, d: int, s: int) -> tuple[int, int, list[int]]:
-    """(non-coprime, d-th roots, minus-one count per stage) of n from its
-    factorization alone (Monier 1980): d-th roots number
-    prod gcd(p_i - 1, d), stage j holds 2**(k j) times that for
-    j < min(s, min v2(p_i - 1)) with k distinct primes, and n - phi(n)
-    residues share a factor with n."""
-    phi = 1
-    roots = 1
-    for p, e in fac.factors:
-        phi *= p ** (e - 1) * (p - 1)
-        roots *= math.gcd(p - 1, d)
-    k = len(fac.factors)
-    levels = min([s] + [((p - 1) & -(p - 1)).bit_length() - 1 for p in fac.primes])
-    return fac.n - phi, roots, [roots << (k * j) for j in range(levels)]
-
-
 def _partition_counts_ok(scan, fac, liar_residues: np.ndarray) -> bool:
-    """The scan's counts, and the class and stage sizes read from its codes,
-    equal Monier's closed form, and every multiple of a prime of n is coded
-    non-coprime.  liar_residues: the residues coded 2 or more.
+    """The class and stage sizes read from the scan's codes equal Monier's
+    closed form (`monier_counts`), and every multiple of a prime of n is
+    coded non-coprime.  liar_residues: the residues coded 2 or more.
 
     With every liar confirmed by pow afterwards, this makes each class
     exact: a subset of the true set with the true size is the true set, and
     the non-coprime code covers the n - phi(n) non-units at exactly that
     size, which leaves the witnesses exact too."""
-    n, codes, stages = scan.n, scan.codes, scan.stages
-    non_coprime, roots, per_stage = _monier_counts(fac, scan.d, scan.s)
-    liar_count = roots + sum(per_stage)
-    expected = ClassCounts(n - non_coprime - liar_count, non_coprime, roots, sum(per_stage))
-    if scan.counts != expected or scan.overlap != 0:
-        return False
+    codes, stages = scan.codes, scan.stages
+    counts, per_stage = monier_counts(fac, scan.d, scan.s)
     coded = codes[liar_residues]
     stage_of = stages[liar_residues[coded == CODE_MINUS_ONE]]
     return (
-        len(liar_residues) == liar_count
-        and np.count_nonzero(coded == CODE_DTH_ROOT) == roots
+        len(liar_residues) == counts.strong_liars
+        and np.count_nonzero(coded == CODE_DTH_ROOT) == counts.dth_root
         and not np.any(stage_of < 0)
         and np.bincount(stage_of, minlength=len(per_stage)).tolist() == per_stage
         and np.count_nonzero(stages >= 0) == len(stage_of)
-        and np.count_nonzero(codes) == non_coprime + liar_count
+        and np.count_nonzero(codes) == counts.non_coprime + counts.strong_liars
         and all((codes[::p] == CODE_NON_COPRIME).all() for p in fac.primes)
     )
 
@@ -165,13 +145,14 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
 def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
-    partition: for every odd n in [3, n_max] the codes of `classify_all`,
-    stages and counts are the true partition of [0, n), checked by routes
-    that do not share its construction: per-class and per-stage counts
-    against Monier's closed form from the factorization, and a vectorized
-    pow re-check of every residue coded as a liar (composite n) or of 1,
-    n - 1 and a seeded sample of at most 64 units (prime n, where a full
-    re-check would be the whole pow scan).  The scan's overlap count is
+    partition: for every odd n in [3, n_max] the codes and stages of
+    `classify_all` are the true partition of [0, n), checked by routes
+    that do not share its construction: the class and per-stage sizes read
+    from the codes against Monier's closed form from the factorization
+    (`monier_counts`, also the source of the scan's counts), and a
+    vectorized pow re-check of every residue coded as a liar (composite
+    n) or of 1, n - 1 and a seeded sample of at most 64 units (prime n,
+    where a full re-check would be the whole pow scan).  The scan's overlap count is
     0, 1 is a d-th root, n-1 hits -1 at stage 0, and odd primes have no
     witnesses.  Hard.
 
@@ -196,8 +177,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
         c = scan.counts
         checked += 1
         ok = (
-            c.total == n
-            and scan.overlap == 0
+            scan.overlap == 0
             and scan.codes[1] == CODE_DTH_ROOT
             and scan.codes[n - 1] == CODE_MINUS_ONE
             and scan.stages[n - 1] == 0  # n-1 hits -1 at stage 0
@@ -218,10 +198,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
         if batch_size >= _RECHECK_BATCH:
             failed |= _pow_recheck(batch)
             batch, batch_size = [], 0
-        if not composite:
-            if c.witness != 0:
-                failed.add(n)
-        else:
+        if composite:
             composites += 1
             liars = c.strong_liars
             if 4 * liars > n - 1:

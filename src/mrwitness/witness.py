@@ -120,12 +120,34 @@ class ClassCounts:
         return self.dth_root + self.minus_one
 
 
+def monier_counts(fac, d: int, s: int) -> tuple[ClassCounts, list[int]]:
+    """The class sizes of odd n = fac.n, n - 1 = d * 2**s, and the
+    minus-one count per stage, from the factorization alone (Monier 1980).
+
+    The d-th roots number prod gcd(p - 1, d) over the primes p of n;
+    stage j holds 2**(j * omega) times that for j < min(s, min v2(p - 1)),
+    with omega distinct primes; n - phi(n) residues share a factor with n, and
+    the witnesses are the units left over.
+    """
+    phi = 1
+    roots = 1
+    for p, e in fac.factors:
+        phi *= p ** (e - 1) * (p - 1)
+        roots *= math.gcd(p - 1, d)
+    omega = len(fac.factors)
+    levels = min([s] + [((p - 1) & -(p - 1)).bit_length() - 1 for p in fac.primes])
+    per_stage = [roots << (omega * j) for j in range(levels)]
+    minus_one = sum(per_stage)
+    return ClassCounts(phi - roots - minus_one, fac.n - phi, roots, minus_one), per_stage
+
+
 @dataclass(frozen=True)
 class ResidueScan:
     """Full classification of [0, n): per-residue codes, stages, and totals.
 
     `codes` uses the integer codes of `_scan`; `stages[w]` is the least j
     with w**(d * 2**j) = -1 for code-3 residues and -1 elsewhere.
+    `counts` comes from `monier_counts`, not from the codes.
     `overlap` is the subgroup engine's own consistency count (writes that
     landed on an already written residue); it is always 0.
     """
@@ -157,14 +179,16 @@ _BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus
 
 def classify_all(n: int) -> ResidueScan:
     """Classify every residue of [0, n) by building the strong liars from
-    their subgroups (`_scan.scan_subgroups`).  The tests compare it with
-    the independent pow route, `_scan.scan_numpy`."""
+    their subgroups (`_scan.scan_subgroups`), with the class counts of
+    `monier_counts`.  The tests compare the codes with the independent pow
+    route, `_scan.scan_numpy`."""
     dec = mr_decompose(n)
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")
-    codes, stages, counts, overlap = _scan.scan_subgroups(n, dec.d, dec.s, factorize(n).factors)
-    cc = ClassCounts(*(int(c) for c in counts))
-    return ResidueScan(n, dec.d, dec.s, codes, stages, cc, int(overlap))
+    fac = factorize(n)
+    codes, stages, overlap = _scan.scan_subgroups(n, dec.d, dec.s, fac.factors)
+    counts, _ = monier_counts(fac, dec.d, dec.s)
+    return ResidueScan(n, dec.d, dec.s, codes, stages, counts, int(overlap))
 
 
 def least_witness(n: int) -> tuple[int, int]:
@@ -213,13 +237,12 @@ class BoundReport:
 
 
 def bound_report(n: int) -> BoundReport:
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"need odd n >= 3, got {n}")
+    dec = mr_decompose(n)
     if is_prime(n):
         raise DomainError(f"{n} is prime: no witnesses exist")
-    scan = classify_all(n)
-    liars = scan.counts.strong_liars
-    w_count = scan.counts.witness
+    counts, _ = monier_counts(factorize(n), dec.d, dec.s)
+    liars = counts.strong_liars
+    w_count = counts.witness
     lw, lf = least_witness(n)
     bach = 2.0 * math.log(n) ** 2
     return BoundReport(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -52,6 +53,36 @@ class TestBasicCommands:
         assert lines["least_witness"] == "2"
         assert lines["bach_ok"] == "true"
         assert lines["paper_witness_fraction"] == "1/2"
+
+    # p * q past 2**31.  Every odd n here has s = 1, so the strong liars
+    # are the d-th roots and their negatives: 2 * gcd(p - 1, d) * gcd(q - 1, d).
+    # 1000036000099: gcd(1000002, d) = gcd(1000032, d) = 3, so 2 * 3 * 3 = 18;
+    # 999999943999999559: both gcds are 1, so only +-1 are liars: 2.
+    @pytest.mark.parametrize("p, q, liars", [
+        (1000003, 1000033, 18),
+        (999999937, 1000000007, 2),
+    ])
+    def test_counts_past_2_31(self, p, q, liars):
+        n = p * q
+        for command, keys in (("bounds", ("witness_count", "strong_liar_count")),
+                              ("witnesses", ("witnesses", "dth_root", "minus_one", "non_coprime"))):
+            t0 = time.perf_counter()
+            code, out = run_cli(command, "--n", str(n))
+            assert code == 0 and time.perf_counter() - t0 < 1.0
+            kv = {k: int(v) for k, v in (line.split("=", 1) for line in out.splitlines())
+                  if k in keys}
+            if command == "bounds":
+                assert kv == {"witness_count": n - (p + q - 1) - liars, "strong_liar_count": liars}
+            else:
+                assert kv["dth_root"] + kv["minus_one"] == liars
+                assert kv["non_coprime"] == p + q - 1
+                assert kv["witnesses"] + liars + kv["non_coprime"] == n
+
+    def test_witness_list_past_2_31_fails_before_any_output(self, tmp_path, capsys):
+        code, out = run_cli("witnesses", "--n", str(2**31 + 1), "--out", str(tmp_path / "w.csv"))
+        assert code == 1 and out == ""
+        assert "2**31" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
     def test_weyl(self):
         code, out = run_cli("weyl", "--n", "9", "--k", "2")
@@ -102,6 +133,16 @@ class TestDataCommands:
         ]
         assert payload["residual_total"] < 1e-9
         assert list(payload["witness_sum"]) == ["re", "im", "term_count", "error_budget"]
+
+    def test_json_outputs_take_dash_for_stdout(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli("sums", "--n", "9", "--k", "1", "--out", "-")
+        assert code == 0 and json.loads(out)["n"] == 9
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n_values = 15\nk_max = 2\noutput_format = json\noutput_path = -\n")
+        code, out = run_cli("scan", "--config", str(cfg))
+        assert code == 0 and [row["n"] for row in json.loads(out)] == [15]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["exp.cfg"]
 
     def test_ramanujan(self):
         code, out = run_cli("ramanujan", "--n", "9", "--k", "3")
@@ -229,6 +270,28 @@ class TestVerifyCommand:
             errs.append(capsys.readouterr().err)
         assert outs[0] == outs[1]
         assert errs == ["suite figure1 elapsed 0.0s\n", "suite figure1 elapsed 21.0s\n"]
+
+    def test_one_elapsed_line_per_suite_function(self, monkeypatch, capsys):
+        """A full verify with every suite function stubbed: suites that
+        share a function share one stderr line, naming both results."""
+        stubs = {}
+        for name, fn in suites._REGISTRY.items():
+            stubs.setdefault(fn, []).append(name)
+        registry = {}
+        for names in stubs.values():
+            def stub(names=names):
+                return [suites.SuiteResult(name, 1, 0, "") for name in names]
+            registry.update(dict.fromkeys(names, stub))
+        monkeypatch.setattr(suites, "_REGISTRY", registry)
+        ticks = itertools.count()
+        monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 2.0))
+        code, out = run_cli("verify")
+        assert code == 0 and len(out.splitlines()) == len(suites.SUITE_NAMES) == 14
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(stubs) == 12
+        assert all(line.endswith(" elapsed 2.0s") for line in err)
+        assert "suite partition, rabin elapsed 2.0s" in err
+        assert "suite cancellation, additivity elapsed 2.0s" in err
 
 
 class TestEntryPoint:

@@ -87,6 +87,10 @@ class TestEnumerate:
     def test_prime_has_no_witnesses(self):
         assert witness.classify_all(7).counts.witness == 0
 
+    def test_full_scan_refused_from_2_31(self):
+        with pytest.raises(DomainError, match="2\\*\\*31"):
+            witness.classify_all(2**31 + 1)
+
     def test_figure_n_counts(self):
         scan = witness.classify_all(1056331)
         c = scan.counts
@@ -116,6 +120,8 @@ class TestEnumerate:
         assert np.array_equal(a.codes, codes)
         assert np.array_equal(a.stages, stages)
         assert a.counts == witness.ClassCounts(*counts.tolist())
+        _, per_stage = witness.monier_counts(factorize(n), dec.d, dec.s)
+        assert np.bincount(stages[stages >= 0], minlength=len(per_stage)).tolist() == per_stage
         assert a.overlap == overlap == 0
 
     @given(odd_n, st.data())
