@@ -9,13 +9,11 @@ interval.
 
 from .arith import (
     Factorization,
-    MultiplicativeFunctions,
     divisors,
     euler_phi,
     factorize,
     is_prime,
     mobius,
-    multiplicative_functions,
     pow_mod,
     primitive_root,
     sigma,
@@ -46,7 +44,6 @@ from .expsums import (
     gauss_sum_brute,
     gauss_sum_reduced,
     ramanujan,
-    weyl_sum,
 )
 from .witness import (
     BoundReport,
@@ -77,7 +74,6 @@ __all__ = [
     "GaussReduction",
     "HistogramReport",
     "MRDecomposition",
-    "MultiplicativeFunctions",
     "RamanujanSum",
     "ResidueScan",
     "ScanRow",
@@ -103,7 +99,6 @@ __all__ = [
     "least_witness",
     "mobius",
     "mr_decompose",
-    "multiplicative_functions",
     "pow_mod",
     "primitive_root",
     "ramanujan",
@@ -112,5 +107,4 @@ __all__ = [
     "star_discrepancy",
     "star_discrepancy_points",
     "weyl_battery",
-    "weyl_sum",
 ]

@@ -2,10 +2,10 @@
 
 Both engines classify every residue of [0, n) for odd n < 2**31.
 
-`scan_subgroups`, the engine behind `witness.classify_all`, builds the
-strong liars instead of testing for them (Rabin 1980; Monier 1980).  Each
-unit group mod p**e || n is cyclic with generator g, and there the level-t
-set {x : x**(d * 2**t) = 1} is the subgroup of order
+`scan_subgroups`, the engine behind `witness.classify_all`, writes the
+strong liars built by `liar_sets` instead of testing for them (Rabin 1980;
+Monier 1980).  Each unit group mod p**e || n is cyclic with generator g,
+and there the level-t set {x : x**(d * 2**t) = 1} is the subgroup of order
 gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n is a d-th root of unity
 exactly when every component lies at level 0, and reaches -1 at stage j
 exactly when every component lies at level j + 1 but not at level j: the
@@ -25,6 +25,8 @@ units satisfying both the root-of-unity and the minus-one predicate.
 
 Shared kernels, each defined once here:
 
+* `liar_sets`: the liar subgroups as residue arrays, the only builder of
+  them (`scan_subgroups` and the cancel-ratio suite's power-residue sets);
 * `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
   the partition suite's batched pow re-check);
 * `_powers`: the power table of one generator (the liar subgroups here,
@@ -42,6 +44,7 @@ import math
 import numpy as np
 
 from .arith import primitive_root
+from .errors import DomainError
 
 CODE_WITNESS = 0
 CODE_NON_COPRIME = 1
@@ -97,17 +100,15 @@ def liar_codes(x: np.ndarray, n, s) -> tuple[np.ndarray, np.ndarray]:
     return codes, stages
 
 
-def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
-    """Classify [0, n) by constructing the liar subgroups of each p**e || n.
+def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
+    """The strong liars of odd n < 2**31, built from their subgroups:
+    [d-th roots of unity, stage 0, ..., stage L - 1], L = min v2(p - 1).
 
-    factors: the (p, e) pairs of n.  Returns (codes, stages, overlap); the
-    class counts are `witness.monier_counts`, not read from the codes.
+    factors: the (p, e) pairs of n.  Each array holds distinct residues in
+    CRT order, not sorted.
     """
-    codes = np.zeros(n, np.uint8)
-    stages = np.full(n, -1, np.int8)
-    for p, _ in factors:
-        codes[::p] = CODE_NON_COPRIME
-
+    if n >= _BATCH_LIMIT:
+        raise DomainError(f"liar-set construction supports n < 2**31, got {n}")
     levels = min(((p - 1) & -(p - 1)).bit_length() - 1 for p, _ in factors)
     tables = []
     for p, e in factors:
@@ -121,21 +122,35 @@ def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
         table %= n
         tables.append(table)
 
-    # (code, stage, component sets): level 0 everywhere, then exact level j + 1
-    liar_sets = [(CODE_DTH_ROOT, -1, [t[:: 1 << levels] for t in tables])]
+    # level 0 everywhere, then exact level j + 1
+    components = [[t[:: 1 << levels] for t in tables]]
     for j in range(levels):
         step = 1 << (levels - j - 1)
-        liar_sets.append((CODE_MINUS_ONE, j, [t[step :: 2 * step] for t in tables]))
-    written = np.count_nonzero(codes)
-    for code, stage, parts in liar_sets:
-        idx = outer_sum(parts)
-        if len(parts) > 1:  # a sum of several components reaches len(parts) * n
+        components.append([t[step :: 2 * step] for t in tables])
+    sets = [outer_sum(parts) for parts in components]
+    if len(tables) > 1:  # a sum of several components reaches len(tables) * n
+        for idx in sets:
             idx %= n
-        written += len(idx)
-        codes[idx] = code
-        if stage >= 0:
-            stages[idx] = stage
+    return sets
 
+
+def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
+    """Classify [0, n) by writing the sets of `liar_sets` into the codes.
+
+    factors: the (p, e) pairs of n.  Returns (codes, stages, overlap); the
+    class counts are `witness.monier_counts`, not read from the codes.
+    """
+    codes = np.zeros(n, np.uint8)
+    stages = np.full(n, -1, np.int8)
+    for p, _ in factors:
+        codes[::p] = CODE_NON_COPRIME
+    written = np.count_nonzero(codes)
+    roots, *stage_sets = liar_sets(n, d, factors)
+    codes[roots] = CODE_DTH_ROOT
+    for j, idx in enumerate(stage_sets):
+        codes[idx] = CODE_MINUS_ONE
+        stages[idx] = j
+    written += len(roots) + sum(map(len, stage_sets))
     return codes, stages, written - np.count_nonzero(codes)
 
 
@@ -149,6 +164,9 @@ def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:
     np.floor_divide(p, n, out=quot)
     quot *= n
     p -= quot
+
+
+_BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus (pow_all_numpy)
 
 
 def pow_all_numpy(n: int, exponent: int) -> np.ndarray:

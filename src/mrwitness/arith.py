@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -184,18 +184,6 @@ def sigma(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MultiplicativeFunctions:
-    phi: int
-    mobius: int
-    divisors: tuple[int, ...]
-
-
-def multiplicative_functions(n: int) -> MultiplicativeFunctions:
-    """Euler phi, Mobius mu, and the sorted divisor list of n in one call."""
-    return MultiplicativeFunctions(euler_phi(n), mobius(n), tuple(divisors(n)))
-
-
 @lru_cache(maxsize=1 << 14)
 def primitive_root(p: int, e: int) -> tuple[tuple[int, int], ...]:
     """Canonical generators of the unit group mod p**e, as (generator, order) pairs.
@@ -224,7 +212,3 @@ def primitive_root(p: int, e: int) -> tuple[tuple[int, int], ...]:
         if all(pow(g, phi // q, pe) != 1 for q in prime_divs):
             return ((g, phi),)
     raise ArithmeticError(f"no primitive root mod {p}**{e}")  # pragma: no cover
-
-
-def lcm_all(values) -> int:
-    return reduce(math.lcm, values, 1)

@@ -28,10 +28,9 @@ from itertools import product
 
 import numpy as np
 
-from ._scan import _powers, outer_sum
-from .arith import factorize, lcm_all, primitive_root
+from ._scan import _BATCH_LIMIT, _powers, outer_sum
+from .arith import factorize, primitive_root
 from .errors import DomainError
-from .witness import _BATCH_LIMIT
 
 _LOG_TABLE_LIMIT = 10**7
 
@@ -107,7 +106,7 @@ class UnitGroupComponent:
         value is read through the log tables as a numerator over the
         component exponent L.
         """
-        L = lcm_all(self.orders)
+        L = math.lcm(*self.orders)
         tabs = self.log_tables()
         out = []
         for g, m in zip(sub.generators, sub.orders):
@@ -137,7 +136,7 @@ class CharacterGroup:
         self.components = components
         self.orders = tuple(m for c in self.components for m in c.orders)
         self.total_order = math.prod(self.orders)  # = phi(n)
-        self.exponent = lcm_all(self.orders)
+        self.exponent = math.lcm(*self.orders)
         self._log_matrix: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
         self._roots: np.ndarray | None = None
         self._divisor_groups: dict[int, CharacterGroup] = {}
@@ -273,7 +272,7 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        return lcm_all(m // math.gcd(t, m) for t, m in zip(self.exponents, self.group.orders))
+        return math.lcm(*(m // math.gcd(t, m) for t, m in zip(self.exponents, self.group.orders)))
 
     def __call__(self, w: int) -> complex:
         logs = self.group.log_vector(w % self.group.n)

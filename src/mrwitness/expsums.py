@@ -21,12 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import witness as _witness
-from ._scan import _reduce, pow_all_numpy
+from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
 from .arith import divisors, factorize, mobius
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import DomainError
-from .witness import WitnessClass, classify_all, mr_decompose
+from .witness import classify_all, mr_decompose
 
 MAX_FREQUENCY = 10**6  # |k| beyond this is outside the supported desk scale
 
@@ -123,34 +122,6 @@ def _phase_sums(residues: np.ndarray, k_max: int, n: int) -> list[complex]:
     return out
 
 
-_SELECTOR_ALIASES = {
-    "witness": (WitnessClass.WITNESS,),
-    "nonwitness": (WitnessClass.NON_COPRIME, WitnessClass.DTH_ROOT, WitnessClass.MINUS_ONE),
-    "non-coprime": (WitnessClass.NON_COPRIME,),
-    "dth-root": (WitnessClass.DTH_ROOT,),
-    "minus-one": (WitnessClass.MINUS_ONE,),
-}
-
-
-def weyl_sum(n: int, k: int, selector: WitnessClass | str) -> ComplexSum:
-    """Sum of e(k*w/n) over the residues of [0, n) matching the selector.
-
-    Selector is a WitnessClass or one of 'witness', 'nonwitness',
-    'non-coprime', 'dth-root', 'minus-one'.
-    """
-    _check_k(n, k)
-    if isinstance(selector, WitnessClass):
-        classes = (selector,)
-    else:
-        try:
-            classes = _SELECTOR_ALIASES[selector]
-        except KeyError:
-            raise DomainError(f"unknown selector {selector!r}") from None
-    scan = classify_all(n)
-    idx = np.concatenate([scan.members(c) for c in classes]) if classes else np.array([], np.int64)
-    return _csum(_phase_sum(idx, k, n), len(idx), n)
-
-
 @dataclass(frozen=True)
 class RamanujanSum:
     """Closed-form vs brute-force sum of e(k*w/n) over the units mod n.
@@ -174,7 +145,7 @@ class RamanujanSum:
 def ramanujan(n: int, k: int) -> RamanujanSum:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n >= _witness._BATCH_LIMIT:
+    if n >= _BATCH_LIMIT:
         raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
     closed = ramanujan_closed(n, k)
     if n == 1:
@@ -285,7 +256,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     if math.gcd(b, n) != 1:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
-    if n >= _witness._BATCH_LIMIT:
+    if n >= _BATCH_LIMIT:
         raise DomainError(f"solution enumeration supports n < 2**31, got {n}")
     sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(n)])
     z = _phase_sum(sols, k, n)

@@ -20,7 +20,7 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from . import equidist, expsums
-from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, CODE_NON_COPRIME, liar_codes
+from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, CODE_NON_COPRIME, liar_codes, liar_sets
 from .arith import (
     divisors,
     euler_phi,
@@ -553,18 +553,16 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[Sui
     max_ratio = 0.0
     max_at = 0
     for n in range(9, n_max + 1, 2):
-        if is_prime(n):
+        fac = factorize(n)
+        if fac.factors == ((n, 1),):
             continue
-        scan = classify_all(n)
-        tau_n = len(divisors(n))
+        tau_n = math.prod(e + 1 for _, e in fac.factors)
         root_n = math.sqrt(n)
-        sets = [np.nonzero(scan.codes == CODE_DTH_ROOT)[0]]
-        sets.extend(np.nonzero(scan.stages == j)[0] for j in range(scan.s))
+        # ascending, as the codes listed them: the summation order fixes the printed floats
+        sets = [np.sort(x) for x in liar_sets(n, mr_decompose(n).d, fac.factors)]
         for k in ks:
             envelope = sigma(k) * root_n * tau_n
             for sols in sets:
-                if len(sols) == 0:
-                    continue
                 # few terms per set: _phase_sum would build an n-sized root table per n
                 mag = abs(complex(np.exp(2j * np.pi * ((k * sols) % n) / n).sum()))
                 checked += 1

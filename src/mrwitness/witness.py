@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _scan
+from ._scan import _BATCH_LIMIT
 from .arith import factorize, is_prime
 from .errors import DomainError
 
@@ -34,15 +35,6 @@ class WitnessClass(Enum):
     NON_COPRIME = "non-coprime"
     DTH_ROOT = "dth-root"
     MINUS_ONE = "minus-one"
-
-
-_CODE_TO_CLASS = {
-    _scan.CODE_WITNESS: WitnessClass.WITNESS,
-    _scan.CODE_NON_COPRIME: WitnessClass.NON_COPRIME,
-    _scan.CODE_DTH_ROOT: WitnessClass.DTH_ROOT,
-    _scan.CODE_MINUS_ONE: WitnessClass.MINUS_ONE,
-}
-CLASS_TO_CODE = {v: k for k, v in _CODE_TO_CLASS.items()}
 
 
 @dataclass(frozen=True)
@@ -169,12 +161,6 @@ class ResidueScan:
         """The residues of the other three classes, ascending: the few
         that witness-set statistics are computed from."""
         return np.flatnonzero(self.codes != _scan.CODE_WITNESS)
-
-    def members(self, category: WitnessClass) -> np.ndarray:
-        return np.nonzero(self.codes == CLASS_TO_CODE[category])[0]
-
-
-_BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus
 
 
 def classify_all(n: int) -> ResidueScan:

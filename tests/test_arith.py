@@ -137,13 +137,10 @@ class TestFactorize:
 
 class TestMultiplicativeFunctions:
     def test_examples(self):
-        mf = arith.multiplicative_functions(9)
-        assert (mf.phi, mf.mobius, mf.divisors) == (6, 0, (1, 3, 9))
-        mf = arith.multiplicative_functions(1)
-        assert (mf.phi, mf.mobius, mf.divisors) == (1, 1, (1,))
-        mf = arith.multiplicative_functions(15)
+        assert (arith.euler_phi(9), arith.mobius(9), arith.divisors(9)) == (6, 0, [1, 3, 9])
+        assert (arith.euler_phi(1), arith.mobius(1), arith.divisors(1)) == (1, 1, [1])
         # phi by direct unit count: 8
-        assert (mf.phi, mf.mobius, mf.divisors) == (8, 1, (1, 3, 5, 15))
+        assert (arith.euler_phi(15), arith.mobius(15), arith.divisors(15)) == (8, 1, [1, 3, 5, 15])
 
     @given(st.integers(min_value=1, max_value=10**4))
     @settings(max_examples=150)

@@ -6,10 +6,13 @@ commands below, and what commit 2c495df printed for ramanujan, gauss and
 cancel.  verify_trend.txt is what commit 2857f5f printed for
 `verify --suite trend`; verify_figure1.txt is what it printed for
 `verify --suite figure1` with the run-dependent ` time=...s` cut from the
-end of the summary, which no longer prints it.  Any change to the numeric
-kernels, the agreement rule or the suite runner must leave stdout
-identical: same counts, same floats to all 12 printed digits, same
-verdicts, same order.
+end of the summary, which no longer prints it.  verify_cancel_ratio.txt
+is what commit 12a7ab9 printed for `verify --suite cancel-ratio`; it is
+not among the commands here, because that suite takes 3-5 s, and the
+"Verify suites" step of .github/workflows/tier1.yml diffs it instead.
+Any change to the numeric kernels, the agreement rule or the suite runner
+must leave stdout identical: same counts, same floats to all 12 printed
+digits, same verdicts, same order.
 """
 
 import contextlib

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrwitness import expsums
+from mrwitness import _scan, expsums
 from mrwitness.arith import sigma
 from mrwitness.characters import character_group
 from mrwitness.errors import DomainError
-from mrwitness.witness import WitnessClass, classify_all
+from mrwitness.witness import classify_all
 
 def e(x: float) -> complex:
     return cmath.exp(2j * cmath.pi * x)
@@ -20,28 +20,25 @@ def brute_class_sum(n: int, k: int, members) -> complex:
 
 class TestWeylSum:
     def test_single_member_classes_mod_9(self):
-        s = expsums.weyl_sum(9, 1, "minus-one")
-        assert s.value == pytest.approx(e(8 / 9), abs=1e-12)
-        assert s.term_count == 1 and abs(s.magnitude() - 1) < 1e-12
-        s = expsums.weyl_sum(9, 1, "dth-root")
-        assert s.value == pytest.approx(e(1 / 9), abs=1e-12)
+        rep = expsums.decomposition_report(9, 1)
+        assert rep.minus_one_sum.value == pytest.approx(e(8 / 9), abs=1e-12)
+        assert rep.minus_one_sum.term_count == 1 and abs(rep.minus_one_sum.magnitude() - 1) < 1e-12
+        assert rep.dth_root_sum.value == pytest.approx(e(1 / 9), abs=1e-12)
+        assert rep.witness_sum.value == pytest.approx(brute_class_sum(9, 1, [2, 4, 5, 7]), abs=1e-12)
 
     def test_witness_plus_complement_cancels(self):
-        s = expsums.weyl_sum(9, 1, "witness")
-        sbar = expsums.weyl_sum(9, 1, "nonwitness")
-        assert abs(s.value + sbar.value) < 1e-12
+        rep = expsums.decomposition_report(9, 1)
+        four_classes = (rep.witness_sum.value + rep.shared_factor_sum.value
+                        + rep.dth_root_sum.value + rep.minus_one_sum.value)
+        assert abs(four_classes) < 1e-12
 
     def test_enum_selector(self):
-        s = expsums.weyl_sum(9, 2, WitnessClass.WITNESS)
-        assert s.value == pytest.approx(brute_class_sum(9, 2, [2, 4, 5, 7]), abs=1e-12)
+        rep = expsums.decomposition_report(9, 2)
+        assert rep.witness_sum.value == pytest.approx(brute_class_sum(9, 2, [2, 4, 5, 7]), abs=1e-12)
 
     def test_zero_k_rejected(self):
-        with pytest.raises(DomainError):
-            expsums.weyl_sum(9, 0, "witness")
-
-    def test_unknown_selector(self):
-        with pytest.raises(DomainError):
-            expsums.weyl_sum(9, 1, "everything")
+        with pytest.raises(DomainError, match="nonzero"):
+            expsums.decomposition_report(9, 0)
 
     @given(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=20))
     @settings(max_examples=60, deadline=None)
@@ -49,9 +46,9 @@ class TestWeylSum:
         n = 2 * half + 1
         if k % n == 0:
             return
-        total = 0j
-        for selector in ("witness", "non-coprime", "dth-root", "minus-one"):
-            total += expsums.weyl_sum(n, k, selector).value
+        rep = expsums.decomposition_report(n, k)
+        total = (rep.witness_sum.value + rep.shared_factor_sum.value
+                 + rep.dth_root_sum.value + rep.minus_one_sum.value)
         assert abs(total) < 1e-9  # geometric sum over all of [0, n)
 
 class TestRamanujan:
@@ -245,18 +242,16 @@ class TestDecompositionReport:
 
     def test_class_sums_match_brute_force(self):
         n = 45
-        from mrwitness.witness import classify_all
-
         scan = classify_all(n)
         rep = expsums.decomposition_report(n, 2)
         assert rep.witness_sum.value == pytest.approx(
             brute_class_sum(n, 2, scan.witnesses), abs=1e-9
         )
         assert rep.dth_root_sum.value == pytest.approx(
-            brute_class_sum(n, 2, scan.members(WitnessClass.DTH_ROOT)), abs=1e-9
+            brute_class_sum(n, 2, np.flatnonzero(scan.codes == _scan.CODE_DTH_ROOT)), abs=1e-9
         )
         assert rep.minus_one_sum.value == pytest.approx(
-            brute_class_sum(n, 2, scan.members(WitnessClass.MINUS_ONE)), abs=1e-9
+            brute_class_sum(n, 2, np.flatnonzero(scan.codes == _scan.CODE_MINUS_ONE)), abs=1e-9
         )
 
     def test_k_divisible_by_n_rejected(self):
@@ -285,12 +280,12 @@ class TestDecompositionReport:
 
 class TestErrorBudget:
     def test_budget_scales_with_modulus(self):
-        s = expsums.weyl_sum(10001, 1, "witness")
+        s = expsums.decomposition_report(10001, 1).witness_sum
         assert s.error_budget == 10001 * 2.0**-50
         assert s.error_budget >= s.term_count * 2.0**-50
 
     def test_agreement_counts_the_budgets_of_the_values_compared(self):
-        s = expsums.weyl_sum(10001, 1, "witness")
+        s = expsums.decomposition_report(10001, 1).witness_sum
         assert expsums.budget_ratio(s.error_budget, s) == 1.0
         assert expsums.budget_ratio(s.error_budget, s, 10001) == 0.5  # an FFT value mod 10001
         assert not expsums.agrees(s.error_budget, s)

@@ -12,6 +12,13 @@ from mrwitness.witness import WitnessClass
 
 odd_n = st.integers(min_value=3, max_value=4001).map(lambda v: v | 1)
 
+CODE = {
+    WitnessClass.WITNESS: _scan.CODE_WITNESS,
+    WitnessClass.NON_COPRIME: _scan.CODE_NON_COPRIME,
+    WitnessClass.DTH_ROOT: _scan.CODE_DTH_ROOT,
+    WitnessClass.MINUS_ONE: _scan.CODE_MINUS_ONE,
+}
+
 
 def classify_oracle(n: int, w: int) -> tuple[str, int | None]:
     """Direct re-statement of the three membership conditions."""
@@ -79,9 +86,9 @@ class TestEnumerate:
     def test_mod_9_sets(self):
         scan = witness.classify_all(9)
         assert list(scan.witnesses) == [2, 4, 5, 7]
-        assert list(scan.members(WitnessClass.NON_COPRIME)) == [0, 3, 6]
-        assert list(scan.members(WitnessClass.DTH_ROOT)) == [1]
-        assert list(scan.members(WitnessClass.MINUS_ONE)) == [8]
+        assert list(np.flatnonzero(scan.codes == _scan.CODE_NON_COPRIME)) == [0, 3, 6]
+        assert list(np.flatnonzero(scan.codes == _scan.CODE_DTH_ROOT)) == [1]
+        assert list(np.flatnonzero(scan.codes == _scan.CODE_MINUS_ONE)) == [8]
         assert scan.counts.total == 9 and scan.overlap == 0
 
     def test_prime_has_no_witnesses(self):
@@ -116,13 +123,27 @@ class TestEnumerate:
     def test_engines_agree(self, n):
         a = witness.classify_all(n)
         dec = witness.mr_decompose(n)
-        codes, stages, _, counts, overlap = _scan.scan_numpy(n, dec.d, dec.s, factorize(n).primes)
+        fac = factorize(n)
+        codes, stages, _, counts, overlap = _scan.scan_numpy(n, dec.d, dec.s, fac.primes)
         assert np.array_equal(a.codes, codes)
         assert np.array_equal(a.stages, stages)
         assert a.counts == witness.ClassCounts(*counts.tolist())
-        _, per_stage = witness.monier_counts(factorize(n), dec.d, dec.s)
+        _, per_stage = witness.monier_counts(fac, dec.d, dec.s)
         assert np.bincount(stages[stages >= 0], minlength=len(per_stage)).tolist() == per_stage
         assert a.overlap == overlap == 0
+        # the builder's sets, one by one, against the pow route; sorted,
+        # each equals a strictly increasing flatnonzero, so has no repeats
+        roots, *stage_sets = _scan.liar_sets(n, dec.d, fac.factors)
+        assert [len(x) for x in stage_sets] == per_stage
+        assert np.array_equal(np.sort(roots), np.flatnonzero(codes == _scan.CODE_DTH_ROOT))
+        for j, x in enumerate(stage_sets):
+            assert np.array_equal(np.sort(x), np.flatnonzero(stages == j))
+
+    def test_liar_sets_refused_from_2_31(self):
+        n = 1000036000099  # 1000003 * 1000033
+        dec = witness.mr_decompose(n)
+        with pytest.raises(DomainError, match="2\\*\\*31"):
+            _scan.liar_sets(n, dec.d, factorize(n).factors)
 
     @given(odd_n, st.data())
     @settings(max_examples=120, deadline=None)
@@ -130,7 +151,7 @@ class TestEnumerate:
         scan = witness.classify_all(n)
         w = data.draw(st.integers(min_value=0, max_value=n - 1))
         single = witness.classify(n, w)
-        assert witness._CODE_TO_CLASS[int(scan.codes[w])] is single.category
+        assert scan.codes[w] == CODE[single.category]
         if single.category is WitnessClass.MINUS_ONE:
             assert scan.stages[w] == single.stage
 
@@ -138,8 +159,8 @@ class TestEnumerate:
     @settings(max_examples=100, deadline=None)
     def test_structural_memberships(self, n):
         scan = witness.classify_all(n)
-        assert scan.codes[1] == witness.CLASS_TO_CODE[WitnessClass.DTH_ROOT]
-        assert scan.codes[n - 1] == witness.CLASS_TO_CODE[WitnessClass.MINUS_ONE]
+        assert scan.codes[1] == _scan.CODE_DTH_ROOT
+        assert scan.codes[n - 1] == _scan.CODE_MINUS_ONE
         assert scan.stages[n - 1] == 0
 
 
