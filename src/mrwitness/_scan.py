@@ -134,7 +134,7 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
     return sets
 
 
-def scan_subgroups(n: int, d: int, s: int, factors) -> tuple:
+def scan_subgroups(n: int, d: int, factors) -> tuple:
     """Classify [0, n) by writing the sets of `liar_sets` into the codes.
 
     factors: the (p, e) pairs of n.  Returns (codes, stages, overlap); the

@@ -13,7 +13,6 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import equidist, expsums, suites
 from .arith import factorize, is_prime
@@ -245,30 +244,69 @@ def cmd_cancel(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat key = value experiment description; # starts a comment.
+class ConfigError(Exception):
+    pass
 
+
+class _ConfigParser(argparse.ArgumentParser):
+    """Parses the tokens of one config file (prog); errors name that file."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _ints(value: str) -> list[int]:
+    return [int(v) for v in value.split(",") if v.strip()]
+
+
+def _magnitudes(value: str) -> list[int]:
+    return [equidist.least_odd_composite_at_least(x) for x in _ints(value)]
+
+
+def _odd_composites(value: str) -> list[int]:
+    lo, _, hi = value.partition("..")
+    return [n for n in range(int(lo) | 1, int(hi) + 1, 2) if n >= 9 and not is_prime(n)]
+
+
+def _positive(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _suite_names(value: str) -> list[str]:
+    names = [v.strip() for v in value.split(",") if v.strip()]
+    unknown = [v for v in names if v not in suites.SUITE_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown suite(s): {', '.join(unknown)}")
+    return names
+
+
+def parse_config(path: str) -> argparse.Namespace:
+    """Read a flat key = value experiment config; # starts a comment.
+
+    Exactly one source of moduli:
     n_values: comma-separated odd integers, or
     n_magnitudes: comma-separated thresholds, each replaced by the least
                   odd composite at least that large, or
     n_range: lo..hi, every odd composite in the inclusive range.
     Other keys: k_max (default 10), bins (default 10000), output_path,
-    output_format (csv | json), checks (suite names), threads.
+    output_format (csv | json), checks (suite names).  Each line becomes
+    one --key=value token (the = form keeps values starting with -), so
+    every key is checked by argparse before any row runs.
     """
-
-    n_values: list[int] = field(default_factory=list)
-    k_max: int = 10
-    bins: int = 10_000
-    output_path: str | None = None
-    output_format: str = "csv"
-    checks: list[str] = field(default_factory=list)
-    threads: int | None = None
-
-
-def parse_config(path: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    seen_source = None
+    parser = _ConfigParser(prog=path, add_help=False, allow_abbrev=False)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n_values", type=_ints)
+    source.add_argument("--n_magnitudes", dest="n_values", type=_magnitudes)
+    source.add_argument("--n_range", dest="n_values", type=_odd_composites)
+    parser.add_argument("--k_max", type=_positive, default=10)
+    parser.add_argument("--bins", type=_positive, default=10_000)
+    parser.add_argument("--output_path")
+    parser.add_argument("--output_format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--checks", type=_suite_names, default=[])
+    tokens = []
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -277,54 +315,8 @@ def parse_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "n_values":
-                    cfg.n_values = [int(v) for v in value.split(",") if v.strip()]
-                    seen_source = key
-                elif key == "n_magnitudes":
-                    cfg.n_values = [
-                        equidist.least_odd_composite_at_least(int(v))
-                        for v in value.split(",")
-                        if v.strip()
-                    ]
-                    seen_source = key
-                elif key == "n_range":
-                    lo, _, hi = value.partition("..")
-                    lo_i, hi_i = int(lo), int(hi)
-                    cfg.n_values = [
-                        n
-                        for n in range(lo_i | 1, hi_i + 1, 2)
-                        if not is_prime(n) and n >= 9
-                    ]
-                    seen_source = key
-                elif key == "k_max":
-                    cfg.k_max = int(value)
-                elif key == "bins":
-                    cfg.bins = int(value)
-                elif key == "output_path":
-                    cfg.output_path = value
-                elif key == "output_format":
-                    if value not in ("csv", "json"):
-                        raise ValueError(f"output_format must be csv or json, got {value}")
-                    cfg.output_format = value
-                elif key == "checks":
-                    cfg.checks = [v.strip() for v in value.split(",") if v.strip()]
-                elif key == "threads":
-                    cfg.threads = int(value)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if seen_source is None:
-        raise ConfigError(f"{path}: one of n_values, n_magnitudes, n_range is required")
-    if cfg.k_max < 1 or cfg.bins < 1:
-        raise ConfigError(f"{path}: k_max and bins must be >= 1")
-    return cfg
-
-
-class ConfigError(Exception):
-    pass
+            tokens.append(f"--{key.strip()}={value.strip()}")
+    return parser.parse_args(tokens)
 
 
 def _scan_header(k_max: int) -> list[str]:
@@ -355,8 +347,7 @@ def cmd_scan(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins,
-                         max_workers=cfg.threads or args.threads)
+    rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins, max_workers=args.threads)
     for row in rows:
         print(f"scan n={row.n} runtime_ms={row.runtime_ms:.1f}", file=sys.stderr)
     header = _scan_header(cfg.k_max)
@@ -406,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify strong-compositeness witnesses and the exponential sums over them.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="scan worker threads when its config sets none "
-                             "(default: env WITNESS_THREADS, else all cores)")
+                        help="scan worker threads (default: env WITNESS_THREADS, "
+                             "else all cores; 0 means unset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write n-1 = d * 2^s")

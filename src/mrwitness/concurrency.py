@@ -1,5 +1,5 @@
-"""Worker-count plumbing shared by the CLI (config key `threads`, then
-the --threads flag) and the WITNESS_THREADS environment variable."""
+"""Worker count for `equidist.scan`: the CLI's --threads flag, else the
+WITNESS_THREADS environment variable, else the CPU count."""
 
 from __future__ import annotations
 

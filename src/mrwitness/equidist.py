@@ -17,7 +17,7 @@ import numpy as np
 from .arith import is_prime
 from .errors import DomainError
 from .expsums import _phase_sums
-from .witness import ResidueScan, classify_all, least_witness
+from .witness import ResidueScan, classify_all
 
 _INT64_MAX = 2**62
 
@@ -191,7 +191,6 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     count = full.counts.witness
     dstar = _witness_discrepancy(full)
     ratios = tuple(mag / count for mag in _weyl_magnitudes(full, k_max))
-    lw, _ = least_witness(n)
     flatness = None
     if bins is not None:
         _, mean, dev = _binned(full, bins)
@@ -203,7 +202,7 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
         witness_fraction=count / n,
         star_discrepancy=dstar,
         weyl_ratios=ratios,
-        least_witness=lw,
+        least_witness=int(full.witnesses[0]),
         runtime_ms=ms,
         flatness=flatness,
     )

@@ -478,6 +478,7 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     ks = range(1, k_max + 1)
     for n in range(3, n_max + 1):
         group = CharacterGroup(n)
+        rad = math.prod(c.p for c in group.components)
         taus = {k: expsums.gauss_sums(group, k) for k in ks}
         sample = group.character_by_index(random.Random(_RNG_SEED + n).randrange(group.total_order))
         for k in ks:
@@ -491,7 +492,7 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
             if q == n:
                 continue
             length = n // q
-            compatible = set(factorize(length).primes) <= set(factorize(q).primes)
+            compatible = q % rad == 0  # every prime of n, so of n/q, divides q
             for k in ks:
                 tau = complex(taus[k][index])
                 if k % length != 0:

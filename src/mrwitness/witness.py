@@ -172,7 +172,7 @@ def classify_all(n: int) -> ResidueScan:
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")
     fac = factorize(n)
-    codes, stages, overlap = _scan.scan_subgroups(n, dec.d, dec.s, fac.factors)
+    codes, stages, overlap = _scan.scan_subgroups(n, dec.d, fac.factors)
     counts, _ = monier_counts(fac, dec.d, dec.s)
     return ResidueScan(n, dec.d, dec.s, codes, stages, counts, int(overlap))
 

@@ -221,14 +221,26 @@ class TestScanCommand:
         ns = [row.split(",")[0] for row in out.strip().splitlines()[1:]]
         assert ns == ["9", "15", "21", "25", "27"]
 
-    def test_bad_config_is_usage_error(self, tmp_path):
+    def test_bad_config_is_usage_error(self, tmp_path, capsys):
+        """Every key is checked before the first row runs."""
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("nonsense_key = 1\nn_values = 9\n")
-        code, _ = run_cli("scan", "--config", str(cfg))
-        assert code == 2
-        cfg.write_text("k_max = 2\n")  # no n source
-        code, _ = run_cli("scan", "--config", str(cfg))
-        assert code == 2
+        out_path = tmp_path / "rows.csv"
+        for text in (
+            "nonsense_key = 1\nn_values = 9\n",
+            "k_max = 2\n",  # no n source
+            "n_values = 9\nchecks = figure2\n",  # unknown suite
+            "n_values = 9\nn_range = 9..27\n",  # two n sources
+            "n_values = 9\nthreads = 2\n",  # workers come from --threads only
+            "n_values = 9\nk = 3\n",  # no abbreviation of k_max
+            "n_values = 9\nk_max = 0\n",
+            "n_values = 9\noutput_format = xml\n",
+        ):
+            cfg.write_text(text + f"output_path = {out_path}\n")
+            code, out = run_cli("scan", "--config", str(cfg))
+            err = capsys.readouterr().err
+            assert code == 2 and out == "", text
+            assert err.startswith(f"config error: {cfg}") and "scan n=" not in err, text
+            assert not out_path.exists(), text
 
     def test_scan_checks_run(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -319,15 +331,20 @@ class TestThreads:
         code, out = run_cli("--threads", "1", "decompose", "--n", "9")
         assert code == 0 and out == "d=1 s=3\n"
 
-    @pytest.mark.parametrize("config_threads, flag, expected", [
-        ("2", "3", 2),  # the config key first
-        ("0", "3", 3),  # 0 is unset: then --threads
+    @pytest.mark.parametrize("env, flag, expected", [
+        ("4", "3", 3),  # --threads first
+        ("4", "0", 4),  # 0 is unset: then WITNESS_THREADS
+        ("4", None, 4),
         (None, "3", 3),
-        (None, "0", 5),  # then WITNESS_THREADS
+        (None, "0", 5),  # then the CPU count
         (None, None, 5),
     ])
-    def test_scan_worker_precedence(self, config_threads, flag, expected, tmp_path, monkeypatch):
-        monkeypatch.setenv("WITNESS_THREADS", "5")
+    def test_scan_worker_precedence(self, env, flag, expected, tmp_path, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("WITNESS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("WITNESS_THREADS", env)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         workers = []
         original = concurrency.thread_count
 
@@ -337,12 +354,11 @@ class TestThreads:
 
         monkeypatch.setattr(concurrency, "thread_count", thread_count)
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("n_values = 9, 15\nk_max = 2\n"
-                       + (f"threads = {config_threads}\n" if config_threads is not None else ""))
+        cfg.write_text("n_values = 9, 15\nk_max = 2\n")
         argv = ["scan", "--config", str(cfg)]
         if flag is not None:
             argv = ["--threads", flag] + argv
         assert run_cli(*argv)[0] == 0
         assert run_cli("scan", "--config", str(cfg))[0] == 0  # the flag does not outlive its call
         assert workers[0] == expected
-        assert workers[1] == (2 if config_threads == "2" else 5)
+        assert workers[1] == (5 if env is None else int(env))
