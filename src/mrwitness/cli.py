@@ -68,17 +68,16 @@ def _open_out(path: str | None):
             yield f
 
 
-def _write_csv(path: str | None, header, rows) -> None:
-    with _open_out(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+def _write_csv(f, header, rows) -> None:
+    """header and rows to the open file f; rows hold str and int cells
+    only, floats and bools already through `_fmt`."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _write_json(path: str | None, payload) -> None:
-    with _open_out(path) as f:
-        f.write(json.dumps(_round12(payload), indent=2) + "\n")
+def _write_json(f, payload) -> None:
+    f.write(json.dumps(_round12(payload), indent=2) + "\n")
 
 
 def cmd_decompose(args) -> int:
@@ -114,7 +113,8 @@ def cmd_witnesses(args) -> int:
         ]
     )
     if scan is not None:
-        _write_csv(args.out, ["w"], ([int(w)] for w in scan.witnesses))
+        with _open_out(args.out) as f:
+            _write_csv(f, ["w"], ([int(w)] for w in scan.witnesses))
     return EXIT_OK
 
 
@@ -141,7 +141,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_histogram(args) -> int:
     rep = equidist.histogram(args.n, args.bins)
-    _write_csv(args.out, ["bin_index", "count"], enumerate(rep.counts))
+    with _open_out(args.out) as f:
+        _write_csv(f, ["bin_index", "count"], enumerate(rep.counts))
     _print_kv(
         [
             ("n", rep.n),
@@ -158,7 +159,8 @@ def cmd_histogram(args) -> int:
 
 def cmd_weyl(args) -> int:
     rows = equidist.weyl_battery(args.n, args.k)
-    _write_csv(None, ["k", "magnitude", "ratio"], ((r.k, r.magnitude, r.ratio) for r in rows))
+    _write_csv(sys.stdout, ["k", "magnitude", "ratio"],
+               ((r.k, _fmt(r.magnitude), _fmt(r.ratio)) for r in rows))
     return EXIT_OK
 
 
@@ -183,7 +185,8 @@ def cmd_sums(args) -> int:
         "residual_total": rep.residual_total,
         "residual_partition": rep.residual_partition,
     }
-    _write_json(args.out, payload)
+    with _open_out(args.out) as f:
+        _write_json(f, payload)
     return EXIT_OK
 
 
@@ -342,20 +345,22 @@ def _scan_row_fields(row, k_max: int) -> list:
 
 
 def cmd_scan(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins, max_workers=args.threads)
-    for row in rows:
-        print(f"scan n={row.n} runtime_ms={row.runtime_ms:.1f}", file=sys.stderr)
-    header = _scan_header(cfg.k_max)
-    data = [_scan_row_fields(row, cfg.k_max) for row in rows]
-    if cfg.output_format == "csv":
-        _write_csv(cfg.output_path, header, data)
-    else:
-        _write_json(cfg.output_path, [dict(zip(header, fields)) for fields in data])
+    with contextlib.ExitStack() as stack:
+        try:
+            cfg = parse_config(args.config)
+            out = stack.enter_context(_open_out(cfg.output_path))  # before any row runs
+        except (OSError, ConfigError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins, max_workers=args.threads)
+        for row in rows:
+            print(f"scan n={row.n} runtime_ms={row.runtime_ms:.1f}", file=sys.stderr)
+        header = _scan_header(cfg.k_max)
+        data = [_scan_row_fields(row, cfg.k_max) for row in rows]
+        if cfg.output_format == "csv":
+            _write_csv(out, header, ([_fmt(v) for v in fields] for fields in data))
+        else:
+            _write_json(out, [dict(zip(header, fields)) for fields in data])
     if cfg.checks:
         results = suites.run_suites(cfg.checks)
         bad = _report_suites(results, None)
@@ -375,11 +380,10 @@ def _report_suites(results, out_path) -> bool:
     if out_path:
         keys = sorted({k for r in results for row in r.findings for k in row})
         header = ["suite", *keys]
-        rows = []
-        for r in results:
-            for row in r.findings:
-                rows.append([r.name, *[_fmt(row[k]) if k in row else "" for k in keys]])
-        _write_csv(out_path, header, rows)
+        rows = ([r.name, *[_fmt(row[k]) if k in row else "" for k in keys]]
+                for r in results for row in r.findings)
+        with _open_out(out_path) as f:
+            _write_csv(f, header, rows)
     return any(r.hard and not r.ok for r in results)
 
 

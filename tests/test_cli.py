@@ -242,6 +242,18 @@ class TestScanCommand:
             assert err.startswith(f"config error: {cfg}") and "scan n=" not in err, text
             assert not out_path.exists(), text
 
+    def test_bad_output_path_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """An output path that cannot be opened stops the scan before its first row."""
+        monkeypatch.setattr(cli.equidist, "scan", lambda *a, **kw: pytest.fail("scan ran"))
+        cfg = tmp_path / "exp.cfg"
+        for path in ("", tmp_path / "missing" / "rows.csv"):
+            cfg.write_text(f"n_values = 9\noutput_path = {path}\n")
+            code, out = run_cli("scan", "--config", str(cfg))
+            err = capsys.readouterr().err
+            assert code == 2 and out == "", path
+            assert err.startswith("config error: "), path
+        assert not (tmp_path / "missing").exists()
+
     def test_scan_checks_run(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n_values = 9\nchecks = figure1\n")

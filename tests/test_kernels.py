@@ -57,6 +57,36 @@ class TestPhaseSums:
         assert expsums._phase_sums(np.array([], np.int64), 3, 15) == [0j, 0j, 0j]
 
 
+def _bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+class TestPhaseSumsOracle:
+    """The block kernel against numpy's full-array sum of the gathered
+    roots, bit for bit: counts on both sides of one and two blocks, and
+    witness sets of many blocks."""
+
+    @staticmethod
+    def _check(ws, n):
+        table = expsums._root_table(n)
+        want = [complex(table[(k * ws) % n].sum()) for k in range(1, 11)]
+        assert _bits(expsums._phase_sums(ws, 10, n)) == _bits(want), (n, len(ws))
+        for k in (3, 7, 999):
+            want = complex(table[(k * ws) % n].sum())
+            assert _bits([expsums._phase_sum(ws, k, n)]) == _bits([want]), (n, len(ws), k)
+
+    def test_block_boundaries(self):
+        n = 1_000_003
+        rng = np.random.default_rng(13)
+        leaf = expsums._LEAF
+        for count in [leaf - 1, leaf, leaf + 1] + [2 * leaf + r for r in range(8)]:
+            self._check(np.sort(rng.choice(n, count, replace=False)), n)
+
+    def test_witness_sets(self):
+        for n in (200005, 1056331, 2074757):
+            self._check(classify_all(n).witnesses, n)
+
+
 class TestLiarCodes:
     def test_mixed_batch_matches_scalar_classify(self):
         """One batch over moduli with s = 1..16, primes and composites
