@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 
@@ -395,7 +396,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: parsing keeps no
+    state in it, and building all its subcommands costs more than the
+    cheapest of them run at n near 2 * 10**6."""
     parser = argparse.ArgumentParser(
         prog="mrwitness",
         description="Classify strong-compositeness witnesses and the exponential sums over them.",

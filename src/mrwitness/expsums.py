@@ -144,19 +144,23 @@ def _phase_sums(residues: np.ndarray, k_max: int, n: int) -> list[complex]:
     """[_phase_sum(residues, k, n) for k = 1..k_max], equal bit for bit.
 
     Within a block, the index k*w mod n is carried from one k to the next:
-    adding w < n to an index below n and subtracting n where the sum
-    reaches n keeps it exact with no division.  Each k then gathers the
-    same table entries in the same order as _phase_sum and sums them on the
-    same tree.
+    adding w < n to an index below n gives a sum t < 2n, and t mod n is the
+    smaller of t and t - n read as unsigned, where t - n < 0 wraps above
+    2**63.  That keeps it exact with no division and no branch.  Each k
+    then gathers the same table entries in the same order as _phase_sum
+    and sums them on the same tree.
     """
     table = _root_table(n)
 
     def leaf(ws):
         idx = np.zeros(len(ws), np.int64)
+        scratch = np.empty_like(idx)
+        unsigned = idx.view(np.uint64)
         sums = np.empty(k_max, np.complex128)
         for j in range(k_max):
             idx += ws
-            np.subtract(idx, n, out=idx, where=idx >= n)
+            np.subtract(idx, n, out=scratch)
+            np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
             sums[j] = table[idx].sum()
         return sums
 

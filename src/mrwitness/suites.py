@@ -90,16 +90,17 @@ PARTITION_PRIME_SAMPLE = 64
 _RECHECK_BATCH = 1 << 18
 
 
-def _partition_counts_ok(scan, fac, liar_residues: np.ndarray) -> bool:
+def _partition_counts_ok(scan, liar_residues: np.ndarray) -> bool:
     """The class and stage sizes read from the scan's codes equal Monier's
-    closed form (`monier_counts`), and every multiple of a prime of n is
-    coded non-coprime.  liar_residues: the residues coded 2 or more.
+    closed form (`monier_counts`) from the scan's factorization, and every
+    multiple of a prime of n is coded non-coprime.  liar_residues: the
+    residues coded 2 or more.
 
     With every liar confirmed by pow afterwards, this makes each class
     exact: a subset of the true set with the true size is the true set, and
     the non-coprime code covers the n - phi(n) non-units at exactly that
     size, which leaves the witnesses exact too."""
-    codes, stages = scan.codes, scan.stages
+    codes, stages, fac = scan.codes, scan.stages, scan.fac
     counts, per_stage = monier_counts(fac, scan.d, scan.s)
     coded = codes[liar_residues]
     stage_of = stages[liar_residues[coded == CODE_MINUS_ONE]]
@@ -146,15 +147,15 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
     partition: for every odd n in [3, n_max] the codes and stages of
-    `classify_all` are the true partition of [0, n), checked by routes
-    that do not share its construction: the class and per-stage sizes read
-    from the codes against Monier's closed form from the factorization
-    (`monier_counts`, also the source of the scan's counts), and a
-    vectorized pow re-check of every residue coded as a liar (composite
-    n) or of 1, n - 1 and a seeded sample of at most 64 units (prime n,
-    where a full re-check would be the whole pow scan).  The scan's overlap count is
-    0, 1 is a d-th root, n-1 hits -1 at stage 0, and odd primes have no
-    witnesses.  Hard.
+    `classify_all` are the true partition of [0, n), checked by routes that
+    do not share its construction: the class and per-stage sizes read from
+    the codes against Monier's closed form from the scan's own
+    factorization (`monier_counts`, also the source of the scan's counts),
+    and a vectorized pow re-check of every residue coded as a liar
+    (composite n) or of 1, n - 1 and a seeded sample of at most 64 units
+    (prime n, where a full re-check would be the whole pow scan).  The
+    scan's overlap count is 0, 1 is a d-th root, n-1 hits -1 at stage 0,
+    and odd primes have no witnesses.  Hard.
 
     rabin: for every odd composite n the strong liars number at most
     (n-1)/4, with equality exactly at n = 9.  Hard.  The coprime-witness
@@ -172,20 +173,20 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     equality_ns = []
     for n in range(3, n_max + 1, 2):
         scan = classify_all(n)
-        fac = factorize(n)
-        liar_residues = np.flatnonzero(scan.codes >= CODE_DTH_ROOT)
+        codes, stages = scan.codes, scan.stages
+        liar_residues = np.flatnonzero(codes >= CODE_DTH_ROOT)
         c = scan.counts
         checked += 1
         ok = (
             scan.overlap == 0
-            and scan.codes[1] == CODE_DTH_ROOT
-            and scan.codes[n - 1] == CODE_MINUS_ONE
-            and scan.stages[n - 1] == 0  # n-1 hits -1 at stage 0
-            and _partition_counts_ok(scan, fac, liar_residues)
+            and codes[1] == CODE_DTH_ROOT
+            and codes[n - 1] == CODE_MINUS_ONE
+            and stages[n - 1] == 0  # n-1 hits -1 at stage 0
+            and _partition_counts_ok(scan, liar_residues)
         )
         if not ok:
             failed.add(n)
-        composite = fac.factors != ((n, 1),)
+        composite = scan.fac.factors != ((n, 1),)
         if composite:
             units = liar_residues
         elif n <= PARTITION_PRIME_SAMPLE + 1:
@@ -193,7 +194,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
         else:
             sample = rng.sample(range(2, n - 1), PARTITION_PRIME_SAMPLE - 2)
             units = np.array([1, n - 1] + sample)
-        batch.append((n, scan.d, scan.s, units, scan.codes[units], scan.stages[units]))
+        batch.append((n, scan.d, scan.s, units, codes[units], stages[units]))
         batch_size += len(units)
         if batch_size >= _RECHECK_BATCH:
             failed |= _pow_recheck(batch)

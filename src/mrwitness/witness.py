@@ -12,6 +12,13 @@ in exactly one of four classes:
 The last three conditions are checked in that order; the first two classes
 together are exactly the bases on which the strong probable-prime test
 passes ("strong liars").
+
+`classify_all` does only the per-n work that every caller needs: the
+factorization, Monier's class counts and the liar sets.  Its `ResidueScan`
+builds each n-sized array the first time it is read.  The witness
+statistics read only `witnesses` and `nonwitnesses`, built from one bool
+mask; the per-residue `codes` and `stages` are built only for the callers
+that read them (the partition suite and the tests).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from . import _scan
 from ._scan import _BATCH_LIMIT
-from .arith import factorize, is_prime
+from .arith import Factorization, factorize, is_prime
 from .errors import DomainError
 
 
@@ -135,46 +142,71 @@ def monier_counts(fac, d: int, s: int) -> tuple[ClassCounts, list[int]]:
 
 @dataclass(frozen=True)
 class ResidueScan:
-    """Full classification of [0, n): per-residue codes, stages, and totals.
+    """Classification of [0, n): class counts, the strong liars, and the
+    n-sized arrays derived from them, each built the first time it is read.
 
-    `codes` uses the integer codes of `_scan`; `stages[w]` is the least j
-    with w**(d * 2**j) = -1 for code-3 residues and -1 elsewhere.
-    `counts` comes from `monier_counts`, not from the codes.
-    `overlap` is the subgroup engine's own consistency count (writes that
-    landed on an already written residue); it is always 0.
+    `fac` is the factorization of n; `counts` comes from `monier_counts`
+    and `liars` holds the sets of `_scan.liar_sets`, [d-th roots, stage 0,
+    ...] in CRT order, both built from it.
+    `witnesses` and `nonwitnesses`, the ascending residues in and out of the
+    witness set, come from one bool mask (`_scan.nonwitness_mask`).  The
+    per-residue `codes` (the integer codes of `_scan`), `stages` (the least
+    j with w**(d * 2**j) = -1 for code-3 residues, -1 elsewhere) and
+    `overlap` (writes that landed on an already written residue; always 0)
+    come from one `_scan.scan_subgroups` call, made only when one of them
+    is read.
     """
 
     n: int
     d: int
     s: int
-    codes: np.ndarray
-    stages: np.ndarray
+    fac: Factorization
     counts: ClassCounts
-    overlap: int
+    liars: list[np.ndarray]
+
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        return _scan.nonwitness_mask(self.n, self.fac.primes, self.liars)
 
     @cached_property
     def witnesses(self) -> np.ndarray:
-        return np.nonzero(self.codes == _scan.CODE_WITNESS)[0]
+        return np.flatnonzero(~self._mask)
 
     @cached_property
     def nonwitnesses(self) -> np.ndarray:
         """The residues of the other three classes, ascending: the few
         that witness-set statistics are computed from."""
-        return np.flatnonzero(self.codes != _scan.CODE_WITNESS)
+        return np.flatnonzero(self._mask)
+
+    @cached_property
+    def _classes(self) -> tuple:
+        return _scan.scan_subgroups(self.n, self.fac.primes, self.liars)
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._classes[0]
+
+    @property
+    def stages(self) -> np.ndarray:
+        return self._classes[1]
+
+    @property
+    def overlap(self) -> int:
+        return int(self._classes[2])
 
 
 def classify_all(n: int) -> ResidueScan:
-    """Classify every residue of [0, n) by building the strong liars from
-    their subgroups (`_scan.scan_subgroups`), with the class counts of
-    `monier_counts`.  The tests compare the codes with the independent pow
-    route, `_scan.scan_numpy`."""
+    """Classify every residue of [0, n): the class counts of
+    `monier_counts` and the strong liars of `_scan.liar_sets`, from which
+    the scan's arrays are built when read.  The tests compare the codes
+    with the independent pow route, `_scan.scan_numpy`."""
     dec = mr_decompose(n)
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")
     fac = factorize(n)
-    codes, stages, overlap = _scan.scan_subgroups(n, dec.d, fac.factors)
     counts, _ = monier_counts(fac, dec.d, dec.s)
-    return ResidueScan(n, dec.d, dec.s, codes, stages, counts, int(overlap))
+    liars = _scan.liar_sets(n, dec.d, fac.factors)
+    return ResidueScan(n, dec.d, dec.s, fac, counts, liars)
 
 
 def least_witness(n: int) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -103,6 +104,32 @@ class TestBasicCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_built_once_across_calls(self):
+        cli.build_parser.cache_clear()
+        for argv in (("decompose", "--n", "9"), ("bounds", "--n", "9"), ("witnesses", "--n", "15")):
+            assert run_cli(*argv)[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("bad", [
+        ("histogram", "--n", "200005", "--bins", "1000"),  # missing --out
+        ("histogram", "--n", "200005", "--bins", "x", "--out", "-"),
+        ("interval", "--n", "200005", "--a", "0.125"),
+    ])
+    def test_usage_error_leaves_the_parser_intact(self, bad):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(bad))
+        assert exc.value.code == 2
+        golden = Path(__file__).parent / "data" / "cli_stdout"
+        for name, argv in (
+            ("histogram_200005", ("histogram", "--n", "200005", "--bins", "1000", "--out", "-")),
+            ("interval_200005", ("interval", "--n", "200005", "--a", "0.125", "--b", "0.6")),
+        ):
+            code, out = run_cli(*argv)
+            assert code == 0 and out.encode() == (golden / f"{name}.txt").read_bytes()
 
 
 class TestDataCommands:

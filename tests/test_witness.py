@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrwitness import _scan, witness
+from mrwitness import _scan, equidist, expsums, witness
 from mrwitness.arith import factorize, is_prime
 from mrwitness.errors import DomainError
 from mrwitness.witness import WitnessClass
@@ -162,6 +162,50 @@ class TestEnumerate:
         assert scan.codes[1] == _scan.CODE_DTH_ROOT
         assert scan.codes[n - 1] == _scan.CODE_MINUS_ONE
         assert scan.stages[n - 1] == 0
+
+
+class TestWitnessArrays:
+    """`witnesses` and `nonwitnesses` come from the membership mask, the
+    codes from `scan_subgroups`: two writers of the same partition."""
+
+    def test_mask_sets_equal_the_codes(self):
+        for n in [*range(3, 20_002, 2), 200005, 1056331, 2074757]:
+            scan = witness.classify_all(n)
+            is_witness = scan.codes == _scan.CODE_WITNESS
+            assert np.array_equal(scan.witnesses, np.flatnonzero(is_witness)), n
+            assert np.array_equal(scan.nonwitnesses, np.flatnonzero(~is_witness)), n
+
+    def test_arrays_built_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = _scan.nonwitness_mask
+
+        def nonwitness_mask(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(_scan, "nonwitness_mask", nonwitness_mask)
+        scan = witness.classify_all(561)
+        assert calls == []
+        assert scan.witnesses is scan.witnesses
+        assert scan.nonwitnesses is scan.nonwitnesses
+        assert scan.codes is scan.codes and scan.stages is scan.stages
+        assert calls == [561]
+
+    def test_statistics_never_build_the_codes(self, monkeypatch):
+        def scan_subgroups(*args):
+            raise AssertionError("the class codes were built")
+
+        monkeypatch.setattr(_scan, "scan_subgroups", scan_subgroups)
+        n = 200005
+        scan = witness.classify_all(n)
+        assert len(scan.witnesses) + len(scan.nonwitnesses) == n
+        assert sum(equidist.histogram(n, 1000).counts) == scan.counts.witness
+        equidist.interval_fraction(n, 0.125, 0.6)
+        assert 0 < equidist.star_discrepancy(n) < 1
+        assert len(equidist.weyl_battery(n, 3)) == 3
+        assert expsums.decomposition_report(n, 3).residual_total < 1e-6
+        with pytest.raises(AssertionError, match="codes were built"):
+            scan.codes
 
 
 class TestBounds:
