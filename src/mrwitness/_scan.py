@@ -1,34 +1,34 @@
-"""Batch residue-classification engines and the modular kernels they share.
+"""Batch residue classification for odd n < 2**31 and the modular kernels
+it shares.
 
-Both engines classify every residue of [0, n) for odd n < 2**31.
-
-`scan_subgroups`, the engine behind the codes of `witness.classify_all`,
-writes the strong liars built by `liar_sets` instead of testing for them
-(Rabin 1980; Monier 1980).  Each unit group mod p**e || n is cyclic with
-generator g, and there the level-t set {x : x**(d * 2**t) = 1} is the
-subgroup of order gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n is a
-d-th root of unity exactly when every component lies at level 0, and
+Membership has one writer: `nonwitness_mask` marks the multiples of each
+prime of n and the strong liars that `liar_sets` builds instead of testing
+for them (Rabin 1980; Monier 1980).  Each unit group mod p**e || n is
+cyclic with generator g, and there the level-t set {x : x**(d * 2**t) = 1}
+is the subgroup of order gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n
+is a d-th root of unity exactly when every component lies at level 0, and
 reaches -1 at stage j exactly when every component lies at level j + 1 but
 not at level j: the odd powers of the level-(j + 1) generator.  Such units
 exist only for j < min v2(p_i - 1).  Both sets are CRT products of
 per-component power tables, so the cost is O(n) byte writes plus the size
-of the liar set.
+of the liar set.  Every statistic reads that mask; the class codes and
+stages of `witness.ResidueScan` are a view of the mask and the sets, read
+by the tests and perfbench.
 
 `scan_numpy` is the independent pow route that the tests compare it with:
 w**d mod n for every w by blocked, vectorized square-and-multiply, then the
 squaring stages.
 
 Class codes: 0 witness, 1 shares a factor with n, 2 d-th root of unity,
-3 reaches -1 at some squaring stage.  Each engine also reports `overlap`,
-which must always be zero: for the subgroup engine the number of writes
-that land on an already written residue, for the pow route the number of
-units satisfying both the root-of-unity and the minus-one predicate.
+3 reaches -1 at some squaring stage.  The pow route also reports
+`overlap`, the number of units satisfying both the root-of-unity and the
+minus-one predicate, which must always be zero.
 
 Shared kernels, each defined once here:
 
 * `liar_sets`: the liar subgroups as residue arrays, the only builder of
-  them (`witness.classify_all`, whose sets `scan_subgroups` and
-  `nonwitness_mask` write, and the cancel-ratio suite's power-residue sets);
+  them (`witness.classify_all`, whose sets `nonwitness_mask` writes, and
+  the cancel-ratio suite's power-residue sets);
 * `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
   the partition suite's batched pow re-check);
 * `_powers`: the power table of one generator (the liar subgroups here,
@@ -139,34 +139,14 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
 def nonwitness_mask(n: int, primes, sets) -> np.ndarray:
     """True at the non-witnesses of [0, n): the multiples of each prime of
     n and the liars in `sets` (from `liar_sets`).  The only writer of
-    witness membership; `witness.ResidueScan` reads both sets from it."""
+    membership; `witness.ResidueScan` reads the witnesses, the
+    non-witnesses and the class codes from it."""
     mask = np.zeros(n, bool)
     for p in primes:
         mask[::p] = True
     for idx in sets:
         mask[idx] = True
     return mask
-
-
-def scan_subgroups(n: int, primes, sets) -> tuple:
-    """Classify [0, n) by writing the liar sets of `liar_sets` into the
-    codes, the multiples of each prime of n first.
-
-    Returns (codes, stages, overlap); the class counts are
-    `witness.monier_counts`, not read from the codes.
-    """
-    codes = np.zeros(n, np.uint8)
-    stages = np.full(n, -1, np.int8)
-    for p in primes:
-        codes[::p] = CODE_NON_COPRIME
-    written = np.count_nonzero(codes)
-    roots, *stage_sets = sets
-    codes[roots] = CODE_DTH_ROOT
-    for j, idx in enumerate(stage_sets):
-        codes[idx] = CODE_MINUS_ONE
-        stages[idx] = j
-    written += len(roots) + sum(map(len, stage_sets))
-    return codes, stages, written - np.count_nonzero(codes)
 
 
 def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:

@@ -279,6 +279,13 @@ def _positive(value: str) -> int:
     return n
 
 
+def _frequency_count(value: str) -> int:
+    k_max = _positive(value)
+    if k_max > expsums.MAX_FREQUENCY:
+        raise argparse.ArgumentTypeError(f"must be <= {expsums.MAX_FREQUENCY}, got {k_max}")
+    return k_max
+
+
 def _suite_names(value: str) -> list[str]:
     names = [v.strip() for v in value.split(",") if v.strip()]
     unknown = [v for v in names if v not in suites.SUITE_NAMES]
@@ -295,17 +302,18 @@ def parse_config(path: str) -> argparse.Namespace:
     n_magnitudes: comma-separated thresholds, each replaced by the least
                   odd composite at least that large, or
     n_range: lo..hi, every odd composite in the inclusive range.
-    Other keys: k_max (default 10), bins (default 10000), output_path,
-    output_format (csv | json), checks (suite names).  Each line becomes
-    one --key=value token (the = form keeps values starting with -), so
-    every key is checked by argparse before any row runs.
+    Other keys: k_max (default 10, at most expsums.MAX_FREQUENCY), bins
+    (default 10000), output_path, output_format (csv | json), checks (suite
+    names).  Each line becomes one --key=value token (the = form keeps
+    values starting with -), so every key is checked by argparse before
+    any row runs.
     """
     parser = _ConfigParser(prog=path, add_help=False, allow_abbrev=False)
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--n_values", type=_ints)
     source.add_argument("--n_magnitudes", dest="n_values", type=_magnitudes)
     source.add_argument("--n_range", dest="n_values", type=_odd_composites)
-    parser.add_argument("--k_max", type=_positive, default=10)
+    parser.add_argument("--k_max", type=_frequency_count, default=10)
     parser.add_argument("--bins", type=_positive, default=10_000)
     parser.add_argument("--output_path")
     parser.add_argument("--output_format", choices=("csv", "json"), default="csv")

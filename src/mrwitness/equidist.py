@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import DomainError
-from .expsums import _phase_sums
+from .expsums import MAX_FREQUENCY, _phase_sums
 from .witness import ResidueScan, classify_all
 
 _INT64_MAX = 2**62
@@ -64,10 +64,16 @@ def _binned(scan: ResidueScan, bins: int) -> tuple[np.ndarray, float, float]:
     return counts, mean, float(np.abs(counts - mean).max())
 
 
-def _weyl_magnitudes(scan: ResidueScan, k_max: int) -> list[float]:
-    """|S_k| over the witnesses of scan, for k = 1..k_max."""
+def _check_k_max(k_max: int) -> None:
+    """Before the scan: `_phase_sums` holds k_max complex sums per block."""
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
+    if k_max > MAX_FREQUENCY:
+        raise DomainError(f"k_max is limited to {MAX_FREQUENCY}, got {k_max}")
+
+
+def _weyl_magnitudes(scan: ResidueScan, k_max: int) -> list[float]:
+    """|S_k| over the witnesses of scan, for k = 1..k_max."""
     return [abs(z) for z in _phase_sums(scan.witnesses, k_max, scan.n)]
 
 
@@ -165,6 +171,7 @@ class WeylRow:
 
 def weyl_battery(n: int, k_max: int) -> list[WeylRow]:
     """|S_k| and |S_k| / #W over the witness set, for k = 1..k_max."""
+    _check_k_max(k_max)
     scan = _witness_scan(n)
     count = scan.counts.witness
     return [WeylRow(k, mag, mag / count) for k, mag in enumerate(_weyl_magnitudes(scan, k_max), 1)]
@@ -187,6 +194,7 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     """All per-n trend statistics; `bins` adds the histogram flatness
     max|count - mean| / mean without a second classification pass."""
     t0 = time.perf_counter()
+    _check_k_max(k_max)
     full = _witness_scan(n)
     count = full.counts.witness
     dstar = _witness_discrepancy(full)

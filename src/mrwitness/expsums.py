@@ -255,9 +255,9 @@ def gauss_sum_reduced(chi: DirichletCharacter, k: int) -> GaussReduction:
     return GaussReduction(n, k, q, path, value, brute, diff, agrees(diff, value, brute))
 
 
-def _components(n: int) -> list[int]:
-    """The prime powers q || n, largest first."""
-    return sorted((p**e for p, e in factorize(n).factors), reverse=True)
+def _components(fac) -> list[int]:
+    """The prime powers q || n of the factorization of n, largest first."""
+    return sorted((p**e for p, e in fac.factors), reverse=True)
 
 
 def _solutions(n: int, tables) -> np.ndarray:
@@ -303,7 +303,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     _check_k(n, k)
     if n >= _BATCH_LIMIT:
         raise DomainError(f"solution enumeration supports n < 2**31, got {n}")
-    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(n)])
+    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(factorize(n))])
     z = _phase_sum(sols, k, n)
     total = _csum(z, len(sols), n)
     return CancellationSum(n, alpha, b, k, total, len(sols), total.magnitude() / math.sqrt(n), sols)
@@ -393,15 +393,15 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     sum over the other residues, both from the scan.  The d-th-root and
     per-stage sets are solved per prime power q || n instead: w**d mod q
     for every residue of each component, squared once per stage, and the
-    sets of n assembled by `_solutions`.  That route shares only
-    `factorize` with the classifier (no generator, no CRT idempotent), so
-    the partition residual compares two independent constructions, and
-    costs O(sum of q) plus the candidates of the largest component rather
-    than O(n) pow evaluations.
+    sets of n assembled by `_solutions`.  That route shares only the
+    scan's factorization with the classifier (no generator, no CRT
+    idempotent), so the partition residual compares two independent
+    constructions, and costs O(sum of q) plus the candidates of the largest
+    component rather than O(n) pow evaluations.
     """
     dec = mr_decompose(n)
     scan = classify_all(n)
-    comps = _components(n)
+    comps = _components(scan.fac)
     powers = [pow_all_numpy(q, dec.d) for q in comps]
     root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
     stage_sets: list[np.ndarray] = []

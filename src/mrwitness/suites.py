@@ -20,7 +20,7 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from . import equidist, expsums
-from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, CODE_NON_COPRIME, liar_codes, liar_sets
+from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, liar_codes, liar_sets
 from .arith import (
     divisors,
     euler_phi,
@@ -33,7 +33,7 @@ from .arith import (
 )
 from .characters import CharacterGroup
 from .errors import DomainError
-from .witness import classify_all, least_witness, monier_counts, mr_decompose
+from .witness import classify_all, least_witness, mr_decompose
 
 PARTITION_N_MAX = 100_000
 SUM_N_MAX = 10_000
@@ -50,6 +50,7 @@ TREND_MAGNITUDES = (10**3, 10**4, 10**5, 10**6)
 IMPRIMITIVE_N_MAX = 300
 IMPRIMITIVE_K_MAX = 20
 RATIO_N_MAX = 100_000
+RATIO_KS = (1, 2, 3)
 
 ORTHOGONALITY_TOL = 1e-9
 MULTIPLICATIVITY_TOL = 1e-12
@@ -90,29 +91,43 @@ PARTITION_PRIME_SAMPLE = 64
 _RECHECK_BATCH = 1 << 18
 
 
-def _partition_counts_ok(scan, liar_residues: np.ndarray) -> bool:
-    """The class and stage sizes read from the scan's codes equal Monier's
-    closed form (`monier_counts`) from the scan's factorization, and every
-    multiple of a prime of n is coded non-coprime.  liar_residues: the
-    residues coded 2 or more.
-
-    With every liar confirmed by pow afterwards, this makes each class
-    exact: a subset of the true set with the true size is the true set, and
-    the non-coprime code covers the n - phi(n) non-units at exactly that
-    size, which leaves the witnesses exact too."""
-    codes, stages, fac = scan.codes, scan.stages, scan.fac
-    counts, per_stage = monier_counts(fac, scan.d, scan.s)
-    coded = codes[liar_residues]
-    stage_of = stages[liar_residues[coded == CODE_MINUS_ONE]]
+def _partition_ok(scan, liars: np.ndarray) -> bool:
+    """The partition facts of one n on the liar sets of `classify_all` and
+    the mask built from them (liars: the sets concatenated).  Each set has
+    its class or stage size in Monier's closed form and no residue is in two
+    sets or twice in one; the mask marks the liars and the multiples of the
+    primes of n, which are no liars, and n - phi(n) + #liars residues in
+    all, so it is exactly those; 1 is a d-th root, n - 1 is at stage 0."""
+    n, sets, mask = scan.n, scan.liars, scan.mask
+    seen = np.zeros(n, bool)
+    seen[liars] = True
     return (
-        len(liar_residues) == counts.strong_liars
-        and np.count_nonzero(coded == CODE_DTH_ROOT) == counts.dth_root
-        and not np.any(stage_of < 0)
-        and np.bincount(stage_of, minlength=len(per_stage)).tolist() == per_stage
-        and np.count_nonzero(stages >= 0) == len(stage_of)
-        and np.count_nonzero(codes) == counts.non_coprime + counts.strong_liars
-        and all((codes[::p] == CODE_NON_COPRIME).all() for p in fac.primes)
+        [len(x) for x in sets] == [scan.counts.dth_root, *scan.per_stage]
+        and np.count_nonzero(seen) == len(liars)
+        and mask[liars].all()
+        and all(mask[::p].all() and not seen[::p].any() for p in scan.fac.primes)
+        and np.count_nonzero(mask) == scan.counts.non_coprime + len(liars)
+        and bool(np.any(sets[0] == 1))
+        and bool(np.any(sets[1] == n - 1))
     )
+
+
+def _recheck_row(scan, liars: np.ndarray, composite: bool, rng) -> tuple:
+    """The `_pow_recheck` row of one n: every liar of a composite, or 1,
+    n - 1 and seeded others of a prime, each with the code and stage of its
+    set; liars: the sets concatenated."""
+    sets = scan.liars
+    if composite or len(liars) <= PARTITION_PRIME_SAMPLE:
+        pos = np.arange(len(liars))
+    else:
+        pos = np.concatenate([
+            np.flatnonzero(sets[0] == 1)[:1],
+            len(sets[0]) + np.flatnonzero(sets[1] == scan.n - 1)[:1],
+            rng.sample(range(len(liars)), PARTITION_PRIME_SAMPLE - 2),
+        ])
+    which = np.searchsorted(np.cumsum([len(x) for x in sets]), pos, side="right")
+    codes = np.where(which == 0, CODE_DTH_ROOT, CODE_MINUS_ONE)
+    return scan.n, scan.d, scan.s, liars[pos], codes, which - 1
 
 
 def _pow_recheck(batch: list[tuple]) -> set[int]:
@@ -146,16 +161,16 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
 def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
-    partition: for every odd n in [3, n_max] the codes and stages of
-    `classify_all` are the true partition of [0, n), checked by routes that
-    do not share its construction: the class and per-stage sizes read from
-    the codes against Monier's closed form from the scan's own
-    factorization (`monier_counts`, also the source of the scan's counts),
-    and a vectorized pow re-check of every residue coded as a liar
-    (composite n) or of 1, n - 1 and a seeded sample of at most 64 units
-    (prime n, where a full re-check would be the whole pow scan).  The
-    scan's overlap count is 0, 1 is a d-th root, n-1 hits -1 at stage 0,
-    and odd primes have no witnesses.  Hard.
+    partition: for every odd n in [3, n_max] the liar sets of
+    `classify_all` and the non-witness mask that every statistic reads are
+    the true partition of [0, n).  `_partition_ok` checks them against
+    Monier's closed form from the scan's own factorization (also the source
+    of its counts); a vectorized pow re-check confirms every liar of a
+    composite, or 1, n - 1 and a seeded sample of at most 64 liars of a
+    prime (a full re-check would be the whole pow scan), against the class
+    and stage of its set.  A subset of the true set with the true size is
+    the true set, so each set is its class, and the mask leaves the
+    witnesses exact; odd primes have none.  Hard.
 
     rabin: for every odd composite n the strong liars number at most
     (n-1)/4, with equality exactly at n = 9.  Hard.  The coprime-witness
@@ -173,29 +188,14 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     equality_ns = []
     for n in range(3, n_max + 1, 2):
         scan = classify_all(n)
-        codes, stages = scan.codes, scan.stages
-        liar_residues = np.flatnonzero(codes >= CODE_DTH_ROOT)
         c = scan.counts
         checked += 1
-        ok = (
-            scan.overlap == 0
-            and codes[1] == CODE_DTH_ROOT
-            and codes[n - 1] == CODE_MINUS_ONE
-            and stages[n - 1] == 0  # n-1 hits -1 at stage 0
-            and _partition_counts_ok(scan, liar_residues)
-        )
-        if not ok:
+        liars = np.concatenate(scan.liars)
+        if not _partition_ok(scan, liars):
             failed.add(n)
         composite = scan.fac.factors != ((n, 1),)
-        if composite:
-            units = liar_residues
-        elif n <= PARTITION_PRIME_SAMPLE + 1:
-            units = np.arange(1, n)
-        else:
-            sample = rng.sample(range(2, n - 1), PARTITION_PRIME_SAMPLE - 2)
-            units = np.array([1, n - 1] + sample)
-        batch.append((n, scan.d, scan.s, units, codes[units], stages[units]))
-        batch_size += len(units)
+        batch.append(_recheck_row(scan, liars, composite, rng))
+        batch_size += len(batch[-1][3])
         if batch_size >= _RECHECK_BATCH:
             failed |= _pow_recheck(batch)
             batch, batch_size = [], 0
@@ -546,9 +546,9 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     return [SuiteResult("imprimitive", checked, failures, summary, findings)]
 
 
-def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[SuiteResult]:
+def suite_cancellation_ratio(n_max: int = RATIO_N_MAX) -> list[SuiteResult]:
     """Record max |S'| / sqrt(n) over the power-residue sums of every odd
-    composite n <= n_max, and assert the generous envelope
+    composite n <= n_max at k in RATIO_KS, and assert the generous envelope
     |S'| <= sigma(k) * sqrt(n) * tau(n).  Hard on the envelope only."""
     failures = 0
     checked = 0
@@ -560,9 +560,9 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[Sui
             continue
         tau_n = math.prod(e + 1 for _, e in fac.factors)
         root_n = math.sqrt(n)
-        # ascending, as the codes listed them: the summation order fixes the printed floats
+        # ascending: the summation order fixes the printed floats
         sets = [np.sort(x) for x in liar_sets(n, mr_decompose(n).d, fac.factors)]
-        for k in ks:
+        for k in RATIO_KS:
             envelope = sigma(k) * root_n * tau_n
             for sols in sets:
                 # few terms per set: _phase_sum would build an n-sized root table per n
@@ -574,7 +574,7 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX, ks=(1, 2, 3)) -> list[Sui
                     max_at = n
                 if mag > envelope:
                     failures += 1
-    summary = (f"power-residue sums over odd composite n <= {n_max}, k in {tuple(ks)}: "
+    summary = (f"power-residue sums over odd composite n <= {n_max}, k in {RATIO_KS}: "
                f"max |S'|/sqrt(n) = {max_ratio:.6f} at n = {max_at}; "
                f"envelope sigma(k) sqrt(n) tau(n) violated {failures} times")
     return [SuiteResult("cancel-ratio", checked, failures, summary)]

@@ -15,10 +15,10 @@ passes ("strong liars").
 
 `classify_all` does only the per-n work that every caller needs: the
 factorization, Monier's class counts and the liar sets.  Its `ResidueScan`
-builds each n-sized array the first time it is read.  The witness
-statistics read only `witnesses` and `nonwitnesses`, built from one bool
-mask; the per-residue `codes` and `stages` are built only for the callers
-that read them (the partition suite and the tests).
+builds each n-sized array the first time it is read, all from one bool
+mask, the one writer of membership: the witness statistics read only
+`witnesses` and `nonwitnesses`; the per-residue `codes` and `stages` are a
+view of the mask and the liar sets, read by the tests and perfbench.
 """
 
 from __future__ import annotations
@@ -145,16 +145,16 @@ class ResidueScan:
     """Classification of [0, n): class counts, the strong liars, and the
     n-sized arrays derived from them, each built the first time it is read.
 
-    `fac` is the factorization of n; `counts` comes from `monier_counts`
-    and `liars` holds the sets of `_scan.liar_sets`, [d-th roots, stage 0,
-    ...] in CRT order, both built from it.
-    `witnesses` and `nonwitnesses`, the ascending residues in and out of the
-    witness set, come from one bool mask (`_scan.nonwitness_mask`).  The
-    per-residue `codes` (the integer codes of `_scan`), `stages` (the least
-    j with w**(d * 2**j) = -1 for code-3 residues, -1 elsewhere) and
-    `overlap` (writes that landed on an already written residue; always 0)
-    come from one `_scan.scan_subgroups` call, made only when one of them
-    is read.
+    `fac` is the factorization of n; `counts` and `per_stage` (the
+    minus-one count per stage) come from `monier_counts`, and `liars` holds
+    the sets of `_scan.liar_sets`, [d-th roots, stage 0, ...] in CRT order,
+    all built from it.  `mask`, True at the non-witnesses, is written by
+    `_scan.nonwitness_mask`, the one writer of membership: `witnesses` and
+    `nonwitnesses` are the ascending residues outside and inside it.  The
+    per-residue `codes` (the integer codes of `_scan`: 1 wherever the mask
+    is set, 2 and 3 on the liar sets) and `stages` (the index of the stage
+    set holding a code-3 residue, -1 elsewhere) are a view of the mask and
+    the liar sets, read by the tests and perfbench.
     """
 
     n: int
@@ -162,37 +162,37 @@ class ResidueScan:
     s: int
     fac: Factorization
     counts: ClassCounts
+    per_stage: list[int]
     liars: list[np.ndarray]
 
     @cached_property
-    def _mask(self) -> np.ndarray:
+    def mask(self) -> np.ndarray:
         return _scan.nonwitness_mask(self.n, self.fac.primes, self.liars)
 
     @cached_property
     def witnesses(self) -> np.ndarray:
-        return np.flatnonzero(~self._mask)
+        return np.flatnonzero(~self.mask)
 
     @cached_property
     def nonwitnesses(self) -> np.ndarray:
         """The residues of the other three classes, ascending: the few
         that witness-set statistics are computed from."""
-        return np.flatnonzero(self._mask)
+        return np.flatnonzero(self.mask)
 
     @cached_property
-    def _classes(self) -> tuple:
-        return _scan.scan_subgroups(self.n, self.fac.primes, self.liars)
-
-    @property
     def codes(self) -> np.ndarray:
-        return self._classes[0]
+        codes = self.mask.astype(np.uint8)  # CODE_NON_COPRIME on every non-witness
+        codes[self.liars[0]] = _scan.CODE_DTH_ROOT
+        for idx in self.liars[1:]:
+            codes[idx] = _scan.CODE_MINUS_ONE
+        return codes
 
-    @property
+    @cached_property
     def stages(self) -> np.ndarray:
-        return self._classes[1]
-
-    @property
-    def overlap(self) -> int:
-        return int(self._classes[2])
+        stages = np.full(self.n, -1, np.int8)
+        for j, idx in enumerate(self.liars[1:]):
+            stages[idx] = j
+        return stages
 
 
 def classify_all(n: int) -> ResidueScan:
@@ -204,9 +204,9 @@ def classify_all(n: int) -> ResidueScan:
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")
     fac = factorize(n)
-    counts, _ = monier_counts(fac, dec.d, dec.s)
+    counts, per_stage = monier_counts(fac, dec.d, dec.s)
     liars = _scan.liar_sets(n, dec.d, fac.factors)
-    return ResidueScan(n, dec.d, dec.s, fac, counts, liars)
+    return ResidueScan(n, dec.d, dec.s, fac, counts, per_stage, liars)
 
 
 def least_witness(n: int) -> tuple[int, int]:

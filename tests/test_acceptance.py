@@ -5,10 +5,11 @@ criterion.  The full-range scans are marked slow.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
-from mrwitness import equidist, suites
+from mrwitness import cli, equidist, suites
 
 pytestmark = pytest.mark.slow
 
@@ -41,6 +42,13 @@ class TestCriterion1Partition:
         assert r.ok, r.summary
         assert r.failures == 0
         assert elapsed < 120.0, f"partition scan took {elapsed:.1f}s"
+
+    def test_verify_lines_match_golden(self, partition_rabin, capsys):
+        """The `verify` stdout lines of partition and rabin at the default
+        bound, printed from the fixture's results: no second 10**5 scan."""
+        cli._report_suites([partition_rabin["partition"], partition_rabin["rabin"]], None)
+        golden = Path(__file__).parent / "data" / "cli_stdout" / "verify_partition_rabin.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 @pytest.fixture(scope="module")

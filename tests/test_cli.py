@@ -85,6 +85,12 @@ class TestBasicCommands:
         assert "2**31" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_weyl_frequency_limit_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.equidist, "_phase_sums", lambda *a: pytest.fail("sums ran"))
+        code, out = run_cli("weyl", "--n", "200005", "--k", "1000001")
+        assert code == 1 and out == ""
+        assert "k_max is limited to 1000000" in capsys.readouterr().err
+
     def test_weyl(self):
         code, out = run_cli("weyl", "--n", "9", "--k", "2")
         rows = out.strip().splitlines()
@@ -260,6 +266,7 @@ class TestScanCommand:
             "n_values = 9\nthreads = 2\n",  # workers come from --threads only
             "n_values = 9\nk = 3\n",  # no abbreviation of k_max
             "n_values = 9\nk_max = 0\n",
+            "n_values = 9\nk_max = 1000001\n",  # past expsums.MAX_FREQUENCY
             "n_values = 9\noutput_format = xml\n",
         ):
             cfg.write_text(text + f"output_path = {out_path}\n")

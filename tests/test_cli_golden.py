@@ -10,6 +10,12 @@ end of the summary, which no longer prints it.  verify_cancel_ratio.txt
 is what commit 12a7ab9 printed for `verify --suite cancel-ratio`; it is
 not among the commands here, because that suite takes 3-5 s, and the
 "Verify suites" step of .github/workflows/tier1.yml diffs it instead.
+verify_partition_rabin.txt is what commit 03c8df0 printed for the
+partition and rabin suites at their default bound; the acceptance test
+compares it with the results of its 10**5 scan.
+witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
+for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
+script" step of .github/workflows/tier1.yml compares it.
 Any change to the numeric kernels, the agreement rule or the suite runner
 must leave stdout identical: same counts, same floats to all 12 printed
 digits, same verdicts, same order.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrwitness import equidist
+from mrwitness import equidist, expsums
 from mrwitness.errors import DomainError
 from mrwitness.witness import classify_all
 
@@ -177,6 +177,22 @@ class TestScan:
     def test_no_frequencies_is_an_error_row(self):
         (row,) = equidist.scan([15], k_max=0)
         assert row.error == "need k_max >= 1, got 0"
+
+    def test_frequency_limit_before_any_scan(self, monkeypatch):
+        """k_max past MAX_FREQUENCY is refused before the scan is built or a
+        block of k_max sums is allocated."""
+
+        def fail(*args):
+            raise AssertionError("reached past the frequency check")
+
+        monkeypatch.setattr(equidist, "classify_all", fail)
+        monkeypatch.setattr(equidist, "_phase_sums", fail)
+        k_max = expsums.MAX_FREQUENCY + 1
+        for call in (equidist.weyl_battery, equidist.scan_row):
+            with pytest.raises(DomainError, match="k_max is limited to 1000000"):
+                call(200005, k_max)
+        (row,) = equidist.scan([200005], k_max=k_max)
+        assert row.error == "k_max is limited to 1000000, got 1000001"
 
     def test_bins_past_exact_binning_is_an_error_row(self):
         (row,) = equidist.scan([15], bins=2**62 // 15 + 1)  # not a 2**62-bin allocation

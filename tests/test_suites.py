@@ -2,9 +2,10 @@ import itertools
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from mrwitness import _scan, characters, expsums, suites
-from mrwitness.arith import euler_phi, is_prime
+from mrwitness.arith import euler_phi, factorize, is_prime
 
 
 def _partition(n_max):
@@ -17,45 +18,157 @@ def test_partition_passes_on_the_default_engine():
     assert r.ok and r.failures == 0 and r.checked == 150
 
 
-def _corrupt_engine(monkeypatch, corrupt):
-    original = _scan.scan_subgroups
+def _corrupt_sets(monkeypatch, corrupt):
+    """Pass the liar sets of every n through corrupt(n, sets) on their way
+    to `classify_all`, and so to the mask built from them."""
+    original = _scan.liar_sets
 
-    def scan_subgroups(*args):
-        codes, stages, overlap = original(*args)
-        corrupt(codes, stages)
-        return codes, stages, overlap
+    def liar_sets(n, d, factors):
+        sets = original(n, d, factors)
+        corrupt(n, sets)
+        return sets
 
-    monkeypatch.setattr(_scan, "scan_subgroups", scan_subgroups)
-
-
-def _witness_to_dth_root(codes, stages):
-    """One witness reported as a d-th root."""
-    witnesses = np.flatnonzero(codes == _scan.CODE_WITNESS)
-    if len(witnesses):
-        codes[witnesses[0]] = _scan.CODE_DTH_ROOT
+    monkeypatch.setattr(_scan, "liar_sets", liar_sets)
 
 
-def _stage_moved(codes, stages):
-    """One minus-one residue other than n - 1 reported one stage later."""
-    minus_one = np.flatnonzero(codes == _scan.CODE_MINUS_ONE)[:-1]
-    if len(minus_one):
-        stages[minus_one[0]] += 1
+def _corrupt_mask(monkeypatch, corrupt):
+    """Pass the non-witness mask of every n through corrupt(n, mask)."""
+    original = _scan.nonwitness_mask
+
+    def nonwitness_mask(n, primes, sets):
+        mask = original(n, primes, sets)
+        corrupt(n, mask)
+        return mask
+
+    monkeypatch.setattr(_scan, "nonwitness_mask", nonwitness_mask)
+
+
+def _keep_marking(monkeypatch, lost):
+    """Keep the mask marking lost[n], the liar a set corruption dropped."""
+
+    def mark(n, mask):
+        if n in lost:
+            mask[lost[n]] = True
+
+    _corrupt_mask(monkeypatch, mark)
+
+
+def _composites_with_witnesses(n_max):
+    return sum(not is_prime(n) for n in range(9, n_max + 1, 2))
 
 
 def test_partition_catches_a_witness_reported_as_a_liar(monkeypatch):
-    """Caught by the class sizes read from the codes alone: the pow
-    re-check is switched off."""
-    _corrupt_engine(monkeypatch, _witness_to_dth_root)
+    """A witness added to the d-th roots is caught by the set sizes alone:
+    the pow re-check is switched off."""
+
+    def add_witness(n, sets):
+        witnesses = np.flatnonzero(~_scan.nonwitness_mask(n, factorize(n).primes, sets))
+        if len(witnesses):
+            sets[0] = np.append(sets[0], witnesses[0])
+
+    _corrupt_sets(monkeypatch, add_witness)
     monkeypatch.setattr(suites, "_pow_recheck", lambda batch: set())
     r = _partition(301)
-    composites_with_witnesses = sum(not is_prime(n) for n in range(9, 302, 2))
-    assert not r.ok and r.failures == composites_with_witnesses
+    assert not r.ok and r.failures == _composites_with_witnesses(301)
 
 
 def test_partition_catches_a_moved_stage(monkeypatch):
-    _corrupt_engine(monkeypatch, _stage_moved)
+    """One stage-0 residue other than n - 1 moved to stage 1."""
+
+    def move(n, sets):
+        i = np.flatnonzero(sets[1] != n - 1)[:1]
+        if len(i):
+            if len(sets) == 2:
+                sets.append(sets[1][:0])
+            sets[2] = np.append(sets[2], sets[1][i])
+            sets[1] = np.delete(sets[1], i)
+
+    _corrupt_sets(monkeypatch, move)
     r = _partition(301)
     assert not r.ok and r.failures > 0
+
+
+def test_partition_catches_a_repeated_liar(monkeypatch):
+    """The last d-th root replaced by a second 1, while the mask still marks
+    the root it lost: sizes, marks and the mask count all hold, so only the
+    check for repeats sees it."""
+    lost = {}
+
+    def repeat(n, sets):
+        roots = sets[0]
+        if len(roots) > 1:
+            lost[n] = roots[-1]
+            sets[0] = np.append(roots[:-1], 1)
+
+    _corrupt_sets(monkeypatch, repeat)
+    _keep_marking(monkeypatch, lost)
+    r = _partition(301)
+    assert not r.ok and r.failures == len(lost) > 0
+
+
+def test_partition_catches_a_mask_missing_a_liar(monkeypatch):
+    """1, a d-th root of every n, left unmarked."""
+    _corrupt_mask(monkeypatch, lambda n, mask: mask.__setitem__(1, False))
+    r = _partition(301)
+    assert not r.ok and r.failures == r.checked
+
+
+def test_partition_catches_1_traded_into_stage_0(monkeypatch):
+    """1 and the first stage-0 residue trade sets: sizes and the mask hold.
+    The pow re-check sees it in a composite; in a prime, whose liars it
+    samples, the check that 1 is a d-th root does."""
+
+    def trade(n, sets):
+        sets[0][0], sets[1][0] = sets[1][0], sets[0][0]  # 1 leads the CRT order
+
+    _corrupt_sets(monkeypatch, trade)
+    r = _partition(301)
+    assert not r.ok and r.failures == r.checked
+
+
+@pytest.mark.parametrize("lost", [1, 0])  # a liar, a multiple of every prime of n
+def test_partition_catches_a_mask_trading_a_residue_for_a_witness(monkeypatch, lost):
+    """The mask leaves one non-witness unmarked and marks the first witness
+    instead: the count holds wherever n has witnesses, so only the marks
+    see it there."""
+
+    def trade(n, mask):
+        witnesses = np.flatnonzero(~mask)
+        mask[lost] = False
+        mask[witnesses[:1]] = True
+
+    _corrupt_mask(monkeypatch, trade)
+    r = _partition(301)
+    assert not r.ok and r.failures == r.checked
+
+
+def test_partition_catches_a_multiple_reported_as_a_liar(monkeypatch):
+    """The last d-th root of a composite replaced by a prime of n, while the
+    mask still marks the root it lost; the pow re-check is switched off."""
+    lost = {}
+
+    def swap(n, sets):
+        p = factorize(n).primes[0]
+        if len(sets[0]) > 1 and p < n:
+            lost[n] = sets[0][-1]
+            sets[0][-1] = p
+
+    _corrupt_sets(monkeypatch, swap)
+    _keep_marking(monkeypatch, lost)
+    monkeypatch.setattr(suites, "_pow_recheck", lambda batch: set())
+    r = _partition(301)
+    assert not r.ok and r.failures == len(lost) > 0
+
+
+def test_partition_catches_a_mask_marking_a_witness(monkeypatch):
+    def mark_witness(n, mask):
+        witnesses = np.flatnonzero(~mask)
+        if len(witnesses):
+            mask[witnesses[0]] = True
+
+    _corrupt_mask(monkeypatch, mark_witness)
+    r = _partition(301)
+    assert not r.ok and r.failures == _composites_with_witnesses(301)
 
 
 def test_imprimitive_passes():
