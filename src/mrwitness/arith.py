@@ -1,8 +1,9 @@
 """Exact integer arithmetic and classical multiplicative functions.
 
-Everything here is deterministic: primality is decided by a fixed-base
-strong test that is exact for n below psi_13 = 3317044064679887385961981
-(about 3.3 * 10^24) and refused at or above it, and factorization combines
+Everything here is deterministic: primality is the strong test that
+defines a witness (`mr_split` and the walk `_minus_one_stage`, shared with
+`witness`) at fixed bases, exact below psi_13 = 3317044064679887385961981
+(about 3.3 * 10^24) and refused from there on; factorization combines
 trial division with Brent's cycle-finding variant of the rho method using
 a fixed parameter schedule.  No probabilistic verdicts are surfaced.
 """
@@ -37,6 +38,23 @@ def pow_mod(base: int, exponent: int, modulus: int) -> int:
     return pow(base % modulus, exponent, modulus)
 
 
+def mr_split(n: int) -> tuple[int, int]:
+    """(d, s) with n - 1 = d * 2**s and d odd, for n >= 2."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    return (n - 1) >> s, s
+
+
+def _minus_one_stage(x: int, n: int, s: int) -> int | None:
+    """The least j < s with x**(2**j) = -1 mod n, or None (x = w**d)."""
+    for j in range(s):
+        if x == n - 1:
+            return j
+        x = x * x % n
+        if x == 1:
+            return None
+    return None
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < psi_13 (about 3.3e24).
 
@@ -52,20 +70,10 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = mr_split(n)
     for a in _STRONG_BASES if n < _PSI_12 else _STRONG_BASES + (41,):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and x != n - 1 and _minus_one_stage(x, n, s) is None:  # a is a witness
             return False
     return True
 

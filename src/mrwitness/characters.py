@@ -204,10 +204,6 @@ class CharacterGroup:
         exps = tuple(int(t) % m for t, m in zip(exponents, self.orders, strict=True))
         return DirichletCharacter(self, exps)
 
-    @property
-    def trivial(self) -> "DirichletCharacter":
-        return DirichletCharacter(self, (0,) * len(self.orders))
-
     def characters(self):
         """All phi(n) characters in lexicographic exponent order."""
         for exps in product(*(range(m) for m in self.orders)):

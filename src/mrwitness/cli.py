@@ -3,7 +3,8 @@
 stdout carries data only; progress and timing go to stderr.  Floats are
 printed with 12 significant digits and complex values as re/im pairs, so
 identical invocations produce byte-identical output.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 verification failure.
+0 success, 1 domain error, 2 usage error, 3 verification failure, 141
+stdout closed early by its reader (`| head`; 128 + SIGPIPE, as a shell has it).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 
 from . import equidist, expsums, suites
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 def _fmt(x) -> str:
@@ -494,10 +497,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone after the last write shows here
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:  # the reader left early: not a program error
+        # send what stdout still holds to devnull, so that the flush at exit
+        # cannot fail (an in-memory stdout has no descriptor to point)
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from dataclasses import KW_ONLY, dataclass, field
 
@@ -123,7 +122,7 @@ def _recheck_row(scan, liars: np.ndarray, composite: bool, rng) -> tuple:
         pos = np.concatenate([
             np.flatnonzero(sets[0] == 1)[:1],
             len(sets[0]) + np.flatnonzero(sets[1] == scan.n - 1)[:1],
-            rng.sample(range(len(liars)), PARTITION_PRIME_SAMPLE - 2),
+            rng.choice(len(liars), PARTITION_PRIME_SAMPLE - 2, replace=False),
         ])
     which = np.searchsorted(np.cumsum([len(x) for x in sets]), pos, side="right")
     codes = np.where(which == 0, CODE_DTH_ROOT, CODE_MINUS_ONE)
@@ -177,7 +176,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     count is also compared against 3(n-1)/4; shortfalls are findings, not
     failures.
     """
-    rng = random.Random(_RNG_SEED)
+    rng = np.random.default_rng(_RNG_SEED)
     failed: set[int] = set()
     batch: list[tuple] = []
     batch_size = 0
@@ -481,7 +480,8 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
         group = CharacterGroup(n)
         rad = math.prod(c.p for c in group.components)
         taus = {k: expsums.gauss_sums(group, k) for k in ks}
-        sample = group.character_by_index(random.Random(_RNG_SEED + n).randrange(group.total_order))
+        sample = group.character_by_index(
+            int(np.random.default_rng(_RNG_SEED + n).integers(group.total_order)))
         for k in ks:
             brute = expsums.gauss_sum_brute(sample, k)
             sample_failures += not expsums.agrees(abs(brute.value - taus[k][sample.index]), brute, n)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _scan
 from ._scan import _BATCH_LIMIT
-from .arith import Factorization, factorize, is_prime
+from .arith import Factorization, _minus_one_stage, factorize, is_prime, mr_split
 from .errors import DomainError
 
 
@@ -56,12 +56,7 @@ class MRDecomposition:
 def mr_decompose(n: int) -> MRDecomposition:
     if n < 3 or n % 2 == 0:
         raise DomainError(f"need odd n >= 3, got {n}")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return MRDecomposition(n, d, s)
+    return MRDecomposition(n, *mr_split(n))
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,6 @@ class WitnessClassification:
     category: WitnessClass
     stage: int | None = None
     gcd_value: int | None = None
-
-
-def _minus_one_stage(x: int, n: int, s: int) -> int | None:
-    """The least j < s with x**(2**j) = -1 mod n, or None."""
-    for j in range(s):
-        if x == n - 1:
-            return j
-        x = x * x % n
-        if x == 1:
-            return None
-    return None
 
 
 def classify(n: int, w: int) -> WitnessClassification:
@@ -256,12 +240,10 @@ class BoundReport:
 
 def bound_report(n: int) -> BoundReport:
     dec = mr_decompose(n)
-    if is_prime(n):
-        raise DomainError(f"{n} is prime: no witnesses exist")
+    lw, lf = least_witness(n)  # refuses primes
     counts, _ = monier_counts(factorize(n), dec.d, dec.s)
     liars = counts.strong_liars
     w_count = counts.witness
-    lw, lf = least_witness(n)
     bach = 2.0 * math.log(n) ** 2
     return BoundReport(
         n=n,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mrwitness import arith
 from mrwitness.errors import DomainError
+from mrwitness.suites import _prime_sieve
 
 
 def slow_pow(b: int, e: int, n: int) -> int:
@@ -91,6 +92,21 @@ class TestIsPrime:
             with pytest.raises(DomainError):
                 arith.is_prime(n)
         assert not arith.is_prime(self.PSI_13 - 4)  # divisible by 3
+
+    def test_matches_a_sieve_below_10_6(self):
+        """Every n < 10**6 against Eratosthenes, which shares nothing with
+        the strong test.  The range holds the base-2 strong pseudoprimes
+        2047, 3277 and 4033, where a walk that misses -1 or stops early
+        turns a verdict."""
+        limit = 10**6
+        sieve = _prime_sieve(limit - 1)
+        for n in (2047, 3277, 4033):  # composite, and base 2 passes them
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            assert not sieve[n]
+            assert pow(2, d, n) == 1 or any(pow(2, d << j, n) == n - 1 for j in range(s))
+        assert [n for n in range(limit) if arith.is_prime(n)] == sieve.nonzero()[0].tolist()
 
     def test_small_values(self):
         assert [n for n in range(-3, 50) if arith.is_prime(n)] == [

@@ -54,7 +54,7 @@ class TestEvaluation:
         g = character_group(12)
         for w in range(12):
             expected = 1.0 if math.gcd(w, 12) == 1 else 0.0
-            assert g.trivial(w) == pytest.approx(expected)
+            assert g.character_by_index(0)(w) == pytest.approx(expected)
 
     def test_nonunit_is_zero(self):
         g = character_group(9)
@@ -134,7 +134,7 @@ class TestPower:
 
 class TestConductor:
     def test_trivial_has_conductor_one(self):
-        q, chi1 = character_group(9).trivial.conductor()
+        q, chi1 = character_group(9).character_by_index(0).conductor()
         assert q == 1
         assert chi1(5) == 1  # the trivial-group character is identically 1
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import os
@@ -361,6 +362,36 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "d=3 s=3\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader left after `allowed` characters: a write past
+    them raises, and so does a flush once `allowed` is None.  It has no
+    file descriptor, so main's devnull redirect is skipped."""
+
+    def __init__(self, allowed):
+        super().__init__()
+        self.allowed = allowed
+
+    def write(self, text):
+        if self.allowed is not None and self.tell() + len(text) > self.allowed:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.allowed is None:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """`witnesses --out - | head -5`: a reader that leaves early is not a
+    program error, so main exits EXIT_PIPE with nothing on stderr."""
+
+    @pytest.mark.parametrize("allowed", [0, 60, None], ids=["counts", "list", "flush"])
+    def test_exits_quietly(self, allowed, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(allowed))
+        assert cli.main(["witnesses", "--n", "200005", "--out", "-"]) == cli.EXIT_PIPE == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestThreads:

@@ -184,7 +184,7 @@ def test_imprimitive_catches_a_wrong_reduction(monkeypatch):
 
     def conductor(self):
         q, chi1 = original(self)
-        return q, chi1.group.trivial
+        return q, chi1.group.character_by_index(0)
 
     monkeypatch.setattr(characters.DirichletCharacter, "conductor", conductor)
     (r,) = suites.suite_imprimitive(40, 9)
@@ -236,7 +236,7 @@ def test_imprimitive_fft_shift_fails_the_hard_reductions(monkeypatch):
 def test_characters_catches_a_trivial_inducing_character(monkeypatch):
     """Every nontrivial character mod n <= 60 then differs on the units
     from the character its conductor returns: one failure each."""
-    trivial = characters.CharacterGroup(1).trivial
+    trivial = characters.CharacterGroup(1).character_by_index(0)
     monkeypatch.setattr(characters.DirichletCharacter, "conductor", lambda self: (1, trivial))
     (r,) = suites.suite_characters(10, 10)
     assert not r.ok and r.failures == sum(euler_phi(n) - 1 for n in range(2, 61))

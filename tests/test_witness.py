@@ -264,8 +264,8 @@ class TestBounds:
 
 def _old_strong_test_fails(n: int, d: int, s: int, a: int) -> bool:
     """Whether base a fails the strong test, by its own loop: independent
-    of `witness._minus_one_stage`, which `least_witness` shares with
-    `classify`."""
+    of `arith._minus_one_stage`, the walk that `least_witness` shares with
+    `classify` and `is_prime`."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
