@@ -180,16 +180,17 @@ class CharacterGroup:
         if self._log_matrix is None:
             if self.n >= _BATCH_LIMIT:
                 raise DomainError(f"character value tables support n < 2**31, got {self.n}")
+            tables = [comp.log_tables() for comp in self.components]  # each meets its size limit before any n-sized array
             w = np.arange(self.n, dtype=np.int64)
             rows: list[np.ndarray] = []
             mask = np.ones(self.n, bool)
-            for comp in self.components:
+            for comp, tabs in zip(self.components, tables):
                 mask &= w % comp.p != 0
                 if comp.modulus == self.n:
-                    rows += comp.log_tables()
+                    rows += tabs
                 else:
                     r = w % comp.modulus
-                    rows += (tab[r] for tab in comp.log_tables())
+                    rows += (tab[r] for tab in tabs)
             self._log_matrix = (tuple(rows), mask)
         return self._log_matrix
 

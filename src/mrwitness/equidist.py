@@ -65,7 +65,7 @@ def _binned(scan: ResidueScan, bins: int) -> tuple[np.ndarray, float, float]:
 
 
 def _check_k_max(k_max: int) -> None:
-    """Before the scan: `_phase_sums` holds k_max complex sums per block."""
+    """Before the scan: `_phase_sums` holds one complex sum per k per block."""
     if k_max < 1:
         raise DomainError(f"need k_max >= 1, got {k_max}")
     if k_max > MAX_FREQUENCY:
@@ -74,7 +74,7 @@ def _check_k_max(k_max: int) -> None:
 
 def _weyl_magnitudes(scan: ResidueScan, k_max: int) -> list[float]:
     """|S_k| over the witnesses of scan, for k = 1..k_max."""
-    return [abs(z) for z in _phase_sums(scan.witnesses, k_max, scan.n)]
+    return [abs(z) for z in _phase_sums(scan.witnesses, range(1, k_max + 1), scan.n)]
 
 
 def histogram(n: int, bin_count: int) -> HistogramReport:

@@ -14,12 +14,13 @@ compared (`agrees`), never by an ad-hoc tolerance.  The budget is
 empirical, not a worst-case bound: the verification suites measure
 residuals of 0.03-0.31 of it.
 
-Term-by-term phase sums over n-sized residue sets (`_phase_sum`,
-`_phase_sums`) run in blocks of at most _LEAF residues whose boundaries
-are the nodes of numpy's own pairwise-summation tree (`_pairwise_blocks`).
-That tree depends only on the number of terms, so adding the block sums
-back up it gives the full-array `table[idx].sum()` bit for bit, while
-the index, scratch and gathered arrays stay block-sized.
+Term-by-term phase sums over n-sized residue sets run through one
+kernel, `_phase_sums`, for any list of frequencies k.  It works in blocks
+of at most _LEAF residues whose boundaries are the nodes of numpy's own
+pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
+the number of terms, so adding the block sums back up it gives the
+full-array `table[idx].sum()` bit for bit, while the index, scratch and
+gathered arrays stay block-sized.
 """
 
 from __future__ import annotations
@@ -120,48 +121,41 @@ def _pairwise_blocks(residues: np.ndarray, leaf):
     return _pairwise_blocks(residues[:half], leaf) + _pairwise_blocks(residues[half:], leaf)
 
 
-def _phase_sum(residues: np.ndarray, k: int, n: int) -> complex:
-    """Sum of e(k*w/n) over the residues w in [0, n), equal bit for bit to
-    the full-array `_root_table(n)[k*w % n].sum()`.
+def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
+    """[sum of e(k*w/n) over the residues w in [0, n) for k in ks], each
+    equal bit for bit to the full-array `_root_table(n)[k*w % n].sum()`.
 
-    The index (k mod n) * w is below n**2 < 2**62 for n < 2**31, so the
-    floor-divide reduction is exact and gives the same indices as `%`.
+    Within a block, the index k*w mod n of a k whose residue mod n is one
+    more than the previous k's is carried from it: adding w < n to an
+    index below n gives a sum t < 2n, and t mod n is the smaller of t and
+    t - n read as unsigned, where t - n < 0 wraps above 2**63.  A repeated
+    residue reuses the index; any other k reduces (k mod n) * w afresh,
+    which is below n**2 < 2**62 for n < 2**31, so the floor-divide
+    reduction is exact and gives the same indices as `%`.  Each k then
+    gathers the same table entries in the same order and sums them on the
+    same tree.
     """
+    krs = [k % n for k in ks]
     if len(residues) == 0:
-        return 0j
-    table = _root_table(n)
-    kr = k % n
-
-    def leaf(ws):
-        idx = kr * ws
-        _reduce(idx, n, np.empty_like(idx))
-        return table[idx].sum()
-
-    return complex(_pairwise_blocks(residues, leaf))
-
-
-def _phase_sums(residues: np.ndarray, k_max: int, n: int) -> list[complex]:
-    """[_phase_sum(residues, k, n) for k = 1..k_max], equal bit for bit.
-
-    Within a block, the index k*w mod n is carried from one k to the next:
-    adding w < n to an index below n gives a sum t < 2n, and t mod n is the
-    smaller of t and t - n read as unsigned, where t - n < 0 wraps above
-    2**63.  That keeps it exact with no division and no branch.  Each k
-    then gathers the same table entries in the same order as _phase_sum
-    and sums them on the same tree.
-    """
+        return [0j] * len(krs)
     table = _root_table(n)
 
     def leaf(ws):
-        idx = np.zeros(len(ws), np.int64)
+        idx = np.empty(len(ws), np.int64)
         scratch = np.empty_like(idx)
         unsigned = idx.view(np.uint64)
-        sums = np.empty(k_max, np.complex128)
-        for j in range(k_max):
-            idx += ws
-            np.subtract(idx, n, out=scratch)
-            np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
+        sums = np.empty(len(krs), np.complex128)
+        prev = None
+        for j, kr in enumerate(krs):
+            if prev is not None and kr == (prev + 1) % n:
+                idx += ws
+                np.subtract(idx, n, out=scratch)
+                np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
+            elif kr != prev:
+                np.multiply(ws, kr, out=idx)
+                _reduce(idx, n, scratch)
             sums[j] = table[idx].sum()
+            prev = kr
         return sums
 
     return _pairwise_blocks(residues, leaf).tolist()
@@ -197,7 +191,7 @@ def ramanujan(n: int, k: int) -> RamanujanSum:
         brute, complement = _csum(1 + 0j, 1, 1), _csum(0j, 0, 1)
     else:
         units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        z = _phase_sum(units, k, n)
+        (z,) = _phase_sums(units, [k], n)
         brute, complement = _csum(z, len(units), n), _csum(-z, n - len(units), n)
     diff = abs(brute.value - closed)
     return RamanujanSum(n, k, closed, brute, complement, diff, agrees(diff, brute))
@@ -304,7 +298,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     if n >= _BATCH_LIMIT:
         raise DomainError(f"solution enumeration supports n < 2**31, got {n}")
     sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(factorize(n))])
-    z = _phase_sum(sols, k, n)
+    (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)
     return CancellationSum(n, alpha, b, k, total, len(sols), total.magnitude() / math.sqrt(n), sols)
 
@@ -397,10 +391,15 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     scan's factorization with the classifier (no generator, no CRT
     idempotent), so the partition residual compares two independent
     constructions, and costs O(sum of q) plus the candidates of the largest
-    component rather than O(n) pow evaluations.
+    component rather than O(n) pow evaluations.  Every k is checked first;
+    then each set is summed for all ks in one `_phase_sums` call.
     """
     dec = mr_decompose(n)
     scan = classify_all(n)
+    ks = list(ks)
+    for k in ks:
+        if _check_k(n, k) == 0:
+            raise DomainError(f"k = {k} is divisible by n = {n}; the cancellation identity needs n to not divide k")
     comps = _components(scan.fac)
     powers = [pow_all_numpy(q, dec.d) for q in comps]
     root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
@@ -417,23 +416,17 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
             for q, x in zip(comps, powers):
                 x *= x
                 _reduce(x, q, np.empty_like(x))
-    witnesses = scan.witnesses
-    nonwitnesses = scan.nonwitnesses
-    noncoprime_count = scan.counts.non_coprime
 
+    def class_sums(residues):
+        """The sum over the residues for each k, from one kernel call."""
+        return [_csum(z, len(residues), n) for z in _phase_sums(residues, ks, n)]
+
+    per_k = zip(ks, class_sums(scan.witnesses), class_sums(scan.nonwitnesses),
+                class_sums(root_solutions), zip(*map(class_sums, stage_sets)))
     out = []
-    for k in ks:
-        kr = _check_k(n, k)
-        if kr == 0:
-            raise DomainError(f"k = {k} is divisible by n = {n}; the cancellation identity needs n to not divide k")
-        s_wit = _csum(_phase_sum(witnesses, k, n), len(witnesses), n)
-        s_non = _csum(_phase_sum(nonwitnesses, k, n), len(nonwitnesses), n)
+    for k, s_wit, s_non, s2, stage_sums in per_k:
         closed = ramanujan_closed(n, k)
-        s1 = _csum(complex(-closed, 0.0), noncoprime_count, n)
-        s2 = _csum(_phase_sum(root_solutions, k, n), len(root_solutions), n)
-        stage_sums = tuple(
-            _csum(_phase_sum(sols, k, n), len(sols), n) for sols in stage_sets
-        )
+        s1 = _csum(complex(-closed, 0.0), scan.counts.non_coprime, n)
         z3 = sum((cs.value for cs in stage_sums), 0j)
         s3 = _csum(z3, sum(cs.term_count for cs in stage_sums), n)
         residual_total = abs(s_wit.value + s_non.value)

@@ -565,7 +565,7 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX) -> list[SuiteResult]:
         for k in RATIO_KS:
             envelope = sigma(k) * root_n * tau_n
             for sols in sets:
-                # few terms per set: _phase_sum would build an n-sized root table per n
+                # few terms per set: _phase_sums would build an n-sized root table per n
                 mag = abs(complex(np.exp(2j * np.pi * ((k * sols) % n) / n).sum()))
                 checked += 1
                 ratio = mag / root_n

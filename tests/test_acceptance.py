@@ -13,12 +13,22 @@ from mrwitness import cli, equidist, suites
 
 pytestmark = pytest.mark.slow
 
+GOLDEN = Path(__file__).parent / "data" / "cli_stdout"
+
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f" — {detail}"
     print(line)
+
+
+def assert_verify_lines(results, golden_name, capsys):
+    """The `verify` stdout lines of results, printed from a fixture's run
+    of the suite at its default bounds, against a golden file."""
+    capsys.readouterr()
+    cli._report_suites(results, None)
+    assert capsys.readouterr().out == (GOLDEN / golden_name).read_text()
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +56,25 @@ class TestCriterion1Partition:
     def test_verify_lines_match_golden(self, partition_rabin, capsys):
         """The `verify` stdout lines of partition and rabin at the default
         bound, printed from the fixture's results: no second 10**5 scan."""
-        cli._report_suites([partition_rabin["partition"], partition_rabin["rabin"]], None)
-        golden = Path(__file__).parent / "data" / "cli_stdout" / "verify_partition_rabin.txt"
-        assert capsys.readouterr().out == golden.read_text()
+        assert_verify_lines([partition_rabin["partition"], partition_rabin["rabin"]],
+                            "verify_partition_rabin.txt", capsys)
 
 
 @pytest.fixture(scope="module")
 def sum_results():
     return {r.name: r for r in suites.suite_cancellation_additivity(10_000, 10)}
+
+
+@pytest.fixture(scope="module")
+def ramanujan_result():
+    (r,) = suites.suite_ramanujan(2000, 50)
+    return r
+
+
+@pytest.fixture(scope="module")
+def dual_result():
+    (r,) = suites.suite_cancellation_dual(300, 20)
+    return r
 
 
 class TestCriterion2And3Sums:
@@ -67,12 +88,19 @@ class TestCriterion2And3Sums:
         report("3 partition-additivity", r.ok, f"{r.checked} (n, k) pairs; {r.summary}")
         assert r.ok and r.failures == 0, r.summary
 
+    def test_verify_lines_match_golden(self, sum_results, capsys):
+        assert_verify_lines([sum_results["cancellation"], sum_results["additivity"]],
+                            "verify_cancellation_additivity.txt", capsys)
+
 
 class TestCriterion4Ramanujan:
-    def test_closed_form_equivalence(self):
-        (r,) = suites.suite_ramanujan(2000, 50)
+    def test_closed_form_equivalence(self, ramanujan_result):
+        r = ramanujan_result
         report("4 unit-sum-closed-form", r.ok, f"{r.checked} (n, k) pairs within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
+
+    def test_verify_lines_match_golden(self, ramanujan_result, capsys):
+        assert_verify_lines([ramanujan_result], "verify_ramanujan.txt", capsys)
 
 
 class TestCriterion5PrimitiveGauss:
@@ -83,10 +111,13 @@ class TestCriterion5PrimitiveGauss:
 
 
 class TestCriterion6DualRoute:
-    def test_enumeration_matches_orthogonality(self):
-        (r,) = suites.suite_cancellation_dual(300, 20)
+    def test_enumeration_matches_orthogonality(self, dual_result):
+        r = dual_result
         report("6 dual-route-agreement", r.ok, f"{r.checked} sums within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
+
+    def test_verify_lines_match_golden(self, dual_result, capsys):
+        assert_verify_lines([dual_result], "verify_cancel_dual.txt", capsys)
 
 
 class TestCriterion7StrongLiars:

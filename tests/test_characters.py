@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrwitness import expsums
 from mrwitness.arith import divisors, euler_phi, factorize, primitive_root
 from mrwitness.characters import CharacterGroup, UnitGroupComponent, character_group
 from mrwitness.errors import DomainError
@@ -104,6 +106,21 @@ class TestEvaluation:
             table = chi.value_table()
             for w in range(n):
                 assert abs(table[w] - chi(w)) < 1e-12
+
+    def test_component_limit_before_any_n_sized_array(self):
+        """The prime 10000019 is past the 10**7 log-table limit: refused
+        before the 80 MB int64 range of its residues is built."""
+        g = character_group(10_000_019)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="components up to 10000000"):
+                g.log_matrix()
+            with pytest.raises(DomainError, match="components up to 10000000"):
+                expsums.gauss_sum_reduced(g.character_by_index(0), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestPower:

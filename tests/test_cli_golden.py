@@ -13,6 +13,11 @@ not among the commands here, because that suite takes 3-5 s, and the
 verify_partition_rabin.txt is what commit 03c8df0 printed for the
 partition and rabin suites at their default bound; the acceptance test
 compares it with the results of its 10**5 scan.
+verify_cancellation_additivity.txt, verify_ramanujan.txt and
+verify_cancel_dual.txt are what commit 914fb48 printed for the
+cancellation and additivity, ramanujan and cancel-dual suites at their
+default bounds; the acceptance tests compare each with the results of the
+run they already make.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.

@@ -2,8 +2,9 @@
 components, against the full-residue formulas they replace, value for value.
 
 The oracles below walk all n residues: a bincount of every witness, the two
-float comparisons on every witness, D* over every sorted witness, and
-w**e mod n for every w.  Each routed result must be `==` to its oracle.
+float comparisons on every witness, D* over every sorted witness, w**e mod n
+for every w, and the phase sums over whole sets at once.  Each routed result
+must be `==` to its oracle.
 """
 
 import math
@@ -55,6 +56,12 @@ def solutions_oracle(n, e, b):
     return np.nonzero(pow_all_numpy(n, e) == b % n)[0]
 
 
+def phase_oracle(ws, k, n):
+    """numpy's full-array sum of e(k*w/n) over ws, which `_phase_sums`
+    equals bit for bit."""
+    return complex(expsums._root_table(n)[(k * ws) % n].sum())
+
+
 def reports_oracle(n, ks):
     """decomposition_reports with its solution sets from w**d mod n for every w."""
     dec = mr_decompose(n)
@@ -75,11 +82,11 @@ def reports_oracle(n, ks):
     non = np.nonzero(scan.codes)[0]
     out = []
     for k in ks:
-        s_wit = expsums._csum(expsums._phase_sum(ws, k, n), len(ws), n)
-        s_non = expsums._csum(expsums._phase_sum(non, k, n), len(non), n)
+        s_wit = expsums._csum(phase_oracle(ws, k, n), len(ws), n)
+        s_non = expsums._csum(phase_oracle(non, k, n), len(non), n)
         s1 = expsums._csum(complex(-expsums.ramanujan_closed(n, k), 0.0), scan.counts.non_coprime, n)
-        s2 = expsums._csum(expsums._phase_sum(roots, k, n), len(roots), n)
-        stage_sums = tuple(expsums._csum(expsums._phase_sum(t, k, n), len(t), n) for t in stage_sets)
+        s2 = expsums._csum(phase_oracle(roots, k, n), len(roots), n)
+        stage_sums = tuple(expsums._csum(phase_oracle(t, k, n), len(t), n) for t in stage_sets)
         z3 = sum((cs.value for cs in stage_sums), 0j)
         s3 = expsums._csum(z3, sum(cs.term_count for cs in stage_sums), n)
         out.append(expsums.DecompositionReport(
@@ -149,7 +156,7 @@ class TestSolutionSets:
                     c = expsums.cancellation_sum(n, alpha, b, 1)
                     want = solutions_oracle(n, alpha, b)
                     assert np.array_equal(c.solutions, want), (n, alpha, b)
-                    assert c.total == expsums._csum(expsums._phase_sum(want, 1, n), len(want), n)
+                    assert c.total == expsums._csum(phase_oracle(want, 1, n), len(want), n)
 
     @pytest.mark.parametrize("n", NAMED + (2**10 * 3**3, 2 * 41041))
     def test_cancellation_solutions_named_moduli(self, n):

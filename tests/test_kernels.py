@@ -40,40 +40,58 @@ class TestPowAll:
         assert got.tolist() == [pow(w, e, n) for w in range(n)]
 
 
-class TestPhaseSums:
-    def test_battery_equals_single_k_bitwise(self):
-        # k_max = 2n covers k = n and k = 2n (index 0 everywhere) below 256;
-        # above that, 16 frequencies keep the pass to about a second.
-        for n in range(9, 2001, 2):
-            if is_prime(n):
-                continue
-            ws = classify_all(n).witnesses
-            k_max = 2 * n if n < 256 else 16
-            battery = expsums._phase_sums(ws, k_max, n)
-            single = [expsums._phase_sum(ws, k, n) for k in range(1, k_max + 1)]
-            assert battery == single, n
-
-    def test_empty_residues(self):
-        assert expsums._phase_sums(np.array([], np.int64), 3, 15) == [0j, 0j, 0j]
-
-
 def _bits(zs):
     return [(z.real.hex(), z.imag.hex()) for z in zs]
 
 
+def _mixed_ks(n):
+    """A repeat, a negative k, the carry from n - 1 to 0 (at k = 0 and at
+    k = n) and on to n + 1, and the largest supported k: each branch of
+    the index update."""
+    return [3, 3, 7, -1, 0, n - 1, n, n + 1, 10**6]
+
+
+def _check_bits(ws, n, ks):
+    """`_phase_sums` against numpy's full-array sum of the gathered roots,
+    bit for bit."""
+    table = expsums._root_table(n)
+    want = [complex(table[(k * ws) % n].sum()) for k in ks]
+    assert _bits(expsums._phase_sums(ws, ks, n)) == _bits(want), (n, len(ws), ks)
+
+
+class TestPhaseSums:
+    def test_small_moduli_match_oracle_bitwise(self):
+        # ks 1..2n covers the wrap from n - 1 to 0 and k = n, 2n (index 0
+        # everywhere) below 256; above that, 16 frequencies keep the pass
+        # to about a second.
+        for n in range(9, 2001, 2):
+            if is_prime(n):
+                continue
+            ws = classify_all(n).witnesses
+            _check_bits(ws, n, range(1, 2 * n + 1) if n < 256 else range(1, 17))
+            _check_bits(ws, n, _mixed_ks(n))
+
+    def test_empty_residues(self, monkeypatch):
+        """No root table is built for an empty set, directly or through
+        an empty solution set of the cancellation sum."""
+
+        def fail(n):
+            raise AssertionError("root table built for an empty set")
+
+        monkeypatch.setattr(expsums, "_root_table", fail)
+        assert expsums._phase_sums(np.array([], np.int64), [1, 2, 3], 15) == [0j, 0j, 0j]
+        c = expsums.cancellation_sum(7, 2, 3, 1)  # 3 is not a square mod 7
+        assert c.solution_count == 0 and c.total.value == 0j
+
+
 class TestPhaseSumsOracle:
-    """The block kernel against numpy's full-array sum of the gathered
-    roots, bit for bit: counts on both sides of one and two blocks, and
-    witness sets of many blocks."""
+    """The block kernel against the full-array oracle: counts on both
+    sides of one and two blocks, and witness sets of many blocks."""
 
     @staticmethod
     def _check(ws, n):
-        table = expsums._root_table(n)
-        want = [complex(table[(k * ws) % n].sum()) for k in range(1, 11)]
-        assert _bits(expsums._phase_sums(ws, 10, n)) == _bits(want), (n, len(ws))
-        for k in (3, 7, 999):
-            want = complex(table[(k * ws) % n].sum())
-            assert _bits([expsums._phase_sum(ws, k, n)]) == _bits([want]), (n, len(ws), k)
+        for ks in (range(1, 11), _mixed_ks(n)):
+            _check_bits(ws, n, ks)
 
     def test_block_boundaries(self):
         n = 1_000_003

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrwitness import _scan, characters, expsums, suites
-from mrwitness.arith import euler_phi, factorize, is_prime
+from mrwitness.arith import Factorization, euler_phi, factorize, is_prime
 
 
 def _partition(n_max):
@@ -254,6 +254,28 @@ def test_gauss_primitive_catches_a_scaled_tau(monkeypatch):
     monkeypatch.setattr(expsums, "gauss_sums", gauss_sums)
     (r,) = suites.suite_gauss_primitive(20)
     assert not r.ok and r.failures == 3
+
+
+def test_arith_passes():
+    (r,) = suites.suite_arith(1000, 50_000)
+    assert r.ok and r.failures == 0
+
+
+@pytest.mark.parametrize("wrong", [((7, 1), (143, 1)), ((7, 1), (11, 1), (17, 1))])
+def test_arith_catches_a_wrong_factorization(monkeypatch, wrong):
+    """1001 = 7 * 11 * 13 reported with a composite part, which only the
+    sieve catches, or with a wrong prime, which the round trip catches."""
+    original = suites.factorize
+    monkeypatch.setattr(suites, "factorize", lambda n: Factorization(n, wrong) if n == 1001 else original(n))
+    (r,) = suites.suite_arith(100, 2000)
+    assert not r.ok and r.failures == 1
+
+
+def test_arith_catches_phi_off_by_one(monkeypatch):
+    original = suites.euler_phi
+    monkeypatch.setattr(suites, "euler_phi", lambda n: original(n) + (n == 60))
+    (r,) = suites.suite_arith(100, 2000)
+    assert not r.ok and r.failures == 1
 
 
 def test_run_suites_returns_request_order(monkeypatch):
