@@ -39,7 +39,6 @@ from .expsums import (
     RamanujanSum,
     cancellation_sum,
     cancellation_sum_dual,
-    decomposition_report,
     decomposition_reports,
     gauss_sum_brute,
     gauss_sum_reduced,
@@ -85,7 +84,6 @@ __all__ = [
     "character_group",
     "classify",
     "classify_all",
-    "decomposition_report",
     "decomposition_reports",
     "divisors",
     "euler_phi",

@@ -181,16 +181,14 @@ class CharacterGroup:
             if self.n >= _BATCH_LIMIT:
                 raise DomainError(f"character value tables support n < 2**31, got {self.n}")
             tables = [comp.log_tables() for comp in self.components]  # each meets its size limit before any n-sized array
-            w = np.arange(self.n, dtype=np.int64)
             rows: list[np.ndarray] = []
             mask = np.ones(self.n, bool)
             for comp, tabs in zip(self.components, tables):
-                mask &= w % comp.p != 0
+                mask[:: comp.p] = False
                 if comp.modulus == self.n:
                     rows += tabs
-                else:
-                    r = w % comp.modulus
-                    rows += (tab[r] for tab in tabs)
+                else:  # row[w] = tab[w % q], with q | n
+                    rows += (np.tile(tab, self.n // comp.modulus) for tab in tabs)
             self._log_matrix = (tuple(rows), mask)
         return self._log_matrix
 

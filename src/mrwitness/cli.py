@@ -175,7 +175,7 @@ def cmd_interval(args) -> int:
 
 
 def cmd_sums(args) -> int:
-    rep = expsums.decomposition_report(args.n, args.k)
+    (rep,) = expsums.decomposition_reports(args.n, [args.k])
     payload = {
         "n": rep.n,
         "k": rep.k,
@@ -195,7 +195,7 @@ def cmd_sums(args) -> int:
 
 
 def cmd_ramanujan(args) -> int:
-    r = expsums.ramanujan(args.n, args.k)
+    (r,) = expsums.ramanujan(args.n, [args.k])
     _print_kv(
         [
             ("closed", r.closed),
@@ -282,11 +282,16 @@ def _positive(value: str) -> int:
     return n
 
 
-def _frequency_count(value: str) -> int:
-    k_max = _positive(value)
-    if k_max > expsums.MAX_FREQUENCY:
-        raise argparse.ArgumentTypeError(f"must be <= {expsums.MAX_FREQUENCY}, got {k_max}")
-    return k_max
+def _at_most(limit: int):
+    """An argparse type: an integer in [1, limit]."""
+
+    def bounded(value: str) -> int:
+        n = _positive(value)
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {n}")
+        return n
+
+    return bounded
 
 
 def _suite_names(value: str) -> list[str]:
@@ -306,18 +311,18 @@ def parse_config(path: str) -> argparse.Namespace:
                   odd composite at least that large, or
     n_range: lo..hi, every odd composite in the inclusive range.
     Other keys: k_max (default 10, at most expsums.MAX_FREQUENCY), bins
-    (default 10000), output_path, output_format (csv | json), checks (suite
-    names).  Each line becomes one --key=value token (the = form keeps
-    values starting with -), so every key is checked by argparse before
-    any row runs.
+    (default 10000, at most equidist.MAX_BINS), output_path, output_format
+    (csv | json), checks (suite names).  Each line becomes one --key=value
+    token (the = form keeps values starting with -), so every key is
+    checked by argparse before any row runs.
     """
     parser = _ConfigParser(prog=path, add_help=False, allow_abbrev=False)
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--n_values", type=_ints)
     source.add_argument("--n_magnitudes", dest="n_values", type=_magnitudes)
     source.add_argument("--n_range", dest="n_values", type=_odd_composites)
-    parser.add_argument("--k_max", type=_frequency_count, default=10)
-    parser.add_argument("--bins", type=_positive, default=10_000)
+    parser.add_argument("--k_max", type=_at_most(expsums.MAX_FREQUENCY), default=10)
+    parser.add_argument("--bins", type=_at_most(equidist.MAX_BINS), default=10_000)
     parser.add_argument("--output_path")
     parser.add_argument("--output_format", choices=("csv", "json"), default="csv")
     parser.add_argument("--checks", type=_suite_names, default=[])

@@ -20,6 +20,7 @@ from .expsums import MAX_FREQUENCY, _phase_sums
 from .witness import ResidueScan, classify_all
 
 _INT64_MAX = 2**62
+MAX_BINS = 10**6  # histogram bins; each is an int64 edge and a Python count
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,16 @@ def _binned(scan: ResidueScan, bins: int) -> tuple[np.ndarray, float, float]:
 
     Bin b holds the residues ceil(b * n / bins) <= w < ceil((b + 1) * n / bins)
     (integer arithmetic: no float boundary wobble); the non-witnesses in it
-    are subtracted.  Needs n * bins < 2**62, checked before the bin arrays
-    are built.
+    are subtracted.  Needs n * bins < 2**62 and bins <= MAX_BINS, checked
+    before the bin arrays are built.
     """
     n = scan.n
     if bins < 1:
         raise DomainError(f"need at least one bin, got {bins}")
     if n * bins >= _INT64_MAX:
         raise DomainError("n * bin_count too large for exact integer binning")
+    if bins > MAX_BINS:
+        raise DomainError(f"bins is limited to {MAX_BINS}, got {bins}")
     edges = -(-np.arange(bins + 1, dtype=np.int64) * n // bins)  # ceil(b * n / bins)
     counts = np.diff(edges) - np.bincount(scan.nonwitnesses * bins // n, minlength=bins)
     mean = scan.counts.witness / bins

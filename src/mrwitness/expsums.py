@@ -181,20 +181,23 @@ class RamanujanSum:
     agrees: bool
 
 
-def ramanujan(n: int, k: int) -> RamanujanSum:
+def ramanujan(n: int, ks) -> list[RamanujanSum]:
+    """One RamanujanSum per k of ks, from one unit set (by np.gcd: the
+    closed form reads `factorize`) and one `_phase_sums` call."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n >= _BATCH_LIMIT:
         raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
-    closed = ramanujan_closed(n, k)
-    if n == 1:
-        brute, complement = _csum(1 + 0j, 1, 1), _csum(0j, 0, 1)
-    else:
-        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        (z,) = _phase_sums(units, [k], n)
-        brute, complement = _csum(z, len(units), n), _csum(-z, n - len(units), n)
-    diff = abs(brute.value - closed)
-    return RamanujanSum(n, k, closed, brute, complement, diff, agrees(diff, brute))
+    ks = list(ks)
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)  # [0] at n = 1, where brute is 1
+    out = []
+    for k, z in zip(ks, _phase_sums(units, ks, n)):
+        closed = ramanujan_closed(n, k)
+        brute = _csum(z, len(units), n)
+        complement = _csum(-z if n > 1 else 0j, n - len(units), n)  # no non-unit at n = 1
+        diff = abs(brute.value - closed)
+        out.append(RamanujanSum(n, k, closed, brute, complement, diff, agrees(diff, brute)))
+    return out
 
 
 def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
@@ -374,10 +377,6 @@ class DecompositionReport:
     stage_duplicates: int
     residual_total: float
     residual_partition: float
-
-
-def decomposition_report(n: int, k: int) -> DecompositionReport:
-    return decomposition_reports(n, [k])[0]
 
 
 def decomposition_reports(n: int, ks) -> list[DecompositionReport]:

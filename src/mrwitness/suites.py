@@ -278,11 +278,10 @@ def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) 
     checked = 0
     worst = 0.0
     for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            r = expsums.ramanujan(n, k)
+        for r in expsums.ramanujan(n, range(1, k_max + 1)):
             worst = max(worst, expsums.budget_ratio(r.difference, r.brute))
             checked += 1
-            failures += not r.agrees or abs(r.closed) > sigma(math.gcd(n, k))
+            failures += not r.agrees or abs(r.closed) > sigma(math.gcd(n, r.k))
     summary = (f"unit-sum closed form == brute {_AGREEMENT_RULE} "
                f"(worst residual/budget {worst:.3f}) and |sum| <= sigma(gcd(n, k))")
     return [SuiteResult("ramanujan", checked, failures, summary)]
@@ -304,12 +303,12 @@ def suite_gauss_primitive(n_max: int = GAUSS_N_MAX, k_count: int = 3) -> list[Su
     for n in range(3, n_max + 1):
         group = CharacterGroup(n)
         primitive = np.array([chi.is_primitive for chi in group.characters()])
-        root_n = math.sqrt(n)
-        for k in _first_coprime_ks(n, k_count):
-            dev = np.abs(np.abs(expsums.gauss_sums(group, k)[primitive]) - root_n)
-            worst = max(worst, float(expsums.budget_ratio(dev, n).max(initial=0.0)))
-            checked += len(dev)
-            failures += int(np.count_nonzero(~expsums.agrees(dev, n)))
+        taus = np.array([expsums.gauss_sums(group, k)[primitive]
+                         for k in _first_coprime_ks(n, k_count)])
+        dev = np.abs(np.abs(taus) - math.sqrt(n))
+        worst = max(worst, float(expsums.budget_ratio(dev, n).max(initial=0.0)))
+        checked += dev.size
+        failures += int(np.count_nonzero(~expsums.agrees(dev, n)))
     summary = (f"primitive Gauss sums have magnitude sqrt(n) {_AGREEMENT_RULE} "
                f"for n <= {n_max} (worst residual/budget {worst:.3f})")
     return [SuiteResult("gauss-primitive", checked, failures, summary)]
@@ -469,10 +468,8 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
     disagreements are findings describing where the formula needs
     correction terms.
     """
-    hard_failures = 0
     sample_failures = 0
     checked = 0
-    agree_count = 0
     worst = 0.0
     findings: list[dict] = []
     ks = range(1, k_max + 1)
@@ -496,26 +493,19 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
             compatible = q % rad == 0  # every prime of n, so of n/q, divides q
             for k in ks:
                 tau = complex(taus[k][index])
-                if k % length != 0:
-                    path = "vanishing"
-                    claimed = 0j
-                    budgets = (n,)
-                else:
-                    path = "reduced"
+                if k % length == 0:
                     key = (q, k // length)
                     if key not in reduced_taus:
                         reduced_taus[key] = expsums.gauss_sums(chi1.group, k // length)
+                    path, budgets = "reduced", (n, length * q)
                     claimed = length * complex(reduced_taus[key][chi1.index])
-                    budgets = (n, length * q)
+                else:
+                    path, budgets, claimed = "vanishing", (n,), 0j
                 diff = abs(claimed - tau)
-                agree = expsums.agrees(diff, *budgets)
                 checked += 1
-                agree_count += agree
-                if agree:
+                if expsums.agrees(diff, *budgets):
                     worst = max(worst, expsums.budget_ratio(diff, *budgets))
-                if compatible and not agree:
-                    hard_failures += 1
-                if not agree:
+                else:
                     findings.append(
                         {
                             "n": n,
@@ -531,13 +521,13 @@ def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K
                             "difference": diff,
                         }
                     )
-    outside = sum(not f["zero_sets_match"] for f in findings)
+    hard_failures = sum(f["zero_sets_match"] for f in findings)
     summary = (
         "reduction vs the unreduced FFT tau(chi, k) for imprimitive characters, "
         f"n <= {n_max}, k <= {k_max}: "
-        f"{agree_count}/{checked} agree {_AGREEMENT_RULE} "
+        f"{checked - len(findings)}/{checked} agree {_AGREEMENT_RULE} "
         f"(worst residual/budget {worst:.3f}); {len(findings)} disagreements recorded "
-        f"({outside} at characters where n/q has a prime outside the conductor); "
+        f"({len(findings) - hard_failures} at characters where n/q has a prime outside the conductor); "
         f"hard check failures where every prime of n/q divides q: {hard_failures}"
     )
     if sample_failures:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  The full-range scans are marked slow.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -72,6 +73,18 @@ def ramanujan_result():
 
 
 @pytest.fixture(scope="module")
+def gauss_primitive_result():
+    (r,) = suites.suite_gauss_primitive(500)
+    return r
+
+
+@pytest.fixture(scope="module")
+def imprimitive_result():
+    (r,) = suites.suite_imprimitive(300, 20)
+    return r
+
+
+@pytest.fixture(scope="module")
 def dual_result():
     (r,) = suites.suite_cancellation_dual(300, 20)
     return r
@@ -104,10 +117,13 @@ class TestCriterion4Ramanujan:
 
 
 class TestCriterion5PrimitiveGauss:
-    def test_magnitude_sqrt_n(self):
-        (r,) = suites.suite_gauss_primitive(500)
+    def test_magnitude_sqrt_n(self, gauss_primitive_result):
+        r = gauss_primitive_result
         report("5 primitive-gauss-magnitude", r.ok, f"{r.checked} magnitudes at sqrt(n) within the error budgets of the values compared")
         assert r.ok and r.failures == 0, r.summary
+
+    def test_verify_lines_match_golden(self, gauss_primitive_result, capsys):
+        assert_verify_lines([gauss_primitive_result], "verify_gauss_primitive.txt", capsys)
 
 
 class TestCriterion6DualRoute:
@@ -205,8 +221,8 @@ class TestCriterion10Trend:
 
 
 class TestCriterion11ImprimitiveReduction:
-    def test_reduction_study(self):
-        (r,) = suites.suite_imprimitive(300, 20)
+    def test_reduction_study(self, imprimitive_result):
+        r = imprimitive_result
         report(
             "11 imprimitive-reduction-study",
             r.ok,
@@ -220,3 +236,15 @@ class TestCriterion11ImprimitiveReduction:
         assert all(not f["zero_sets_match"] for f in r.findings)
         agree = r.checked - len(r.findings)
         assert agree > 0
+
+    def test_verify_lines_match_golden(self, imprimitive_result, capsys):
+        assert_verify_lines([imprimitive_result], "verify_imprimitive.txt", capsys)
+
+    def test_findings_csv_matches_golden_digest(self, imprimitive_result, tmp_path, capsys):
+        """The findings CSV that `verify --suite imprimitive --out` writes,
+        one row per disagreement, by its sha256."""
+        path = tmp_path / "findings.csv"
+        cli._report_suites([imprimitive_result], str(path))
+        capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == (GOLDEN / "verify_imprimitive_findings.sha256").read_text().strip()

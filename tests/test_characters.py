@@ -122,6 +122,30 @@ class TestEvaluation:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_log_matrix_is_the_tables_read_at_w_mod_q(self):
+        for n in [*range(1, 401), 255_255]:
+            g = CharacterGroup(n)
+            logs, mask = g.log_matrix()
+            w = np.arange(n)
+            expected = [tab[w % comp.modulus] for comp in g.components for tab in comp.log_tables()]
+            assert len(logs) == len(expected), n
+            for row, tab in zip(logs, expected):
+                assert row.dtype == np.int32 and np.array_equal(row, tab), n
+            assert np.array_equal(mask, np.gcd(w, n) == 1), n
+
+    def test_log_matrix_builds_no_residue_range(self):
+        """255255 = 3*5*7*11*13*17: six components, none of them all of n,
+        so every row is a tiled table and the peak stays near the rows and
+        the mask themselves (an int64 residue range alone is 2 MB)."""
+        g = CharacterGroup(255_255)
+        tracemalloc.start()
+        try:
+            logs, mask = g.log_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(row.nbytes for row in logs) + mask.nbytes + 2**20
+
 
 class TestPower:
     def test_zero_power_is_trivial(self):

@@ -148,6 +148,11 @@ class TestDataCommands:
         assert rows == [["bin_index", "count"], ["0", "2"], ["1", "2"]]
         assert "total_witnesses=4" in out
 
+    def test_histogram_bins_past_the_limit_is_domain_error(self, capsys):
+        code, out = run_cli("histogram", "--n", "9", "--bins", str(cli.equidist.MAX_BINS + 1), "--out", "-")
+        assert code == 1 and out == ""
+        assert f"bins is limited to {cli.equidist.MAX_BINS}" in capsys.readouterr().err
+
     def test_sums_json_key_order(self):
         code, out = run_cli("sums", "--n", "9", "--k", "1")
         assert code == 0
@@ -268,6 +273,7 @@ class TestScanCommand:
             "n_values = 9\nk = 3\n",  # no abbreviation of k_max
             "n_values = 9\nk_max = 0\n",
             "n_values = 9\nk_max = 1000001\n",  # past expsums.MAX_FREQUENCY
+            "n_values = 9\nbins = 1000001\n",  # past equidist.MAX_BINS
             "n_values = 9\noutput_format = xml\n",
         ):
             cfg.write_text(text + f"output_path = {out_path}\n")

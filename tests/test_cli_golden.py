@@ -17,7 +17,13 @@ verify_cancellation_additivity.txt, verify_ramanujan.txt and
 verify_cancel_dual.txt are what commit 914fb48 printed for the
 cancellation and additivity, ramanujan and cancel-dual suites at their
 default bounds; the acceptance tests compare each with the results of the
-run they already make.
+run they already make.  verify_gauss_primitive.txt and
+verify_imprimitive.txt are what commit b5df8f0 printed for the
+gauss-primitive and imprimitive suites at their default bounds, and
+verify_imprimitive_findings.sha256 is the sha256 of the findings CSV that
+`verify --suite imprimitive --out` wrote there (143,424 rows); the
+acceptance tests compare them with their fixtures' runs, and the "Verify
+suites" step of .github/workflows/tier1.yml diffs and checks them too.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,16 @@ class TestHistogram:
     def test_bad_bins(self):
         with pytest.raises(DomainError):
             equidist.histogram(9, 0)
+
+    def test_bins_past_the_limit_before_any_bin_array(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"bins is limited to {equidist.MAX_BINS}"):
+                equidist.histogram(9, equidist.MAX_BINS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestIntervalFraction:

@@ -20,25 +20,25 @@ def brute_class_sum(n: int, k: int, members) -> complex:
 
 class TestWeylSum:
     def test_single_member_classes_mod_9(self):
-        rep = expsums.decomposition_report(9, 1)
+        (rep,) = expsums.decomposition_reports(9, [1])
         assert rep.minus_one_sum.value == pytest.approx(e(8 / 9), abs=1e-12)
         assert rep.minus_one_sum.term_count == 1 and abs(rep.minus_one_sum.magnitude() - 1) < 1e-12
         assert rep.dth_root_sum.value == pytest.approx(e(1 / 9), abs=1e-12)
         assert rep.witness_sum.value == pytest.approx(brute_class_sum(9, 1, [2, 4, 5, 7]), abs=1e-12)
 
     def test_witness_plus_complement_cancels(self):
-        rep = expsums.decomposition_report(9, 1)
+        (rep,) = expsums.decomposition_reports(9, [1])
         four_classes = (rep.witness_sum.value + rep.shared_factor_sum.value
                         + rep.dth_root_sum.value + rep.minus_one_sum.value)
         assert abs(four_classes) < 1e-12
 
     def test_enum_selector(self):
-        rep = expsums.decomposition_report(9, 2)
+        (rep,) = expsums.decomposition_reports(9, [2])
         assert rep.witness_sum.value == pytest.approx(brute_class_sum(9, 2, [2, 4, 5, 7]), abs=1e-12)
 
     def test_zero_k_rejected(self):
         with pytest.raises(DomainError, match="nonzero"):
-            expsums.decomposition_report(9, 0)
+            expsums.decomposition_reports(9, [0])
 
     @given(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=20))
     @settings(max_examples=60, deadline=None)
@@ -46,28 +46,30 @@ class TestWeylSum:
         n = 2 * half + 1
         if k % n == 0:
             return
-        rep = expsums.decomposition_report(n, k)
+        (rep,) = expsums.decomposition_reports(n, [k])
         total = (rep.witness_sum.value + rep.shared_factor_sum.value
                  + rep.dth_root_sum.value + rep.minus_one_sum.value)
         assert abs(total) < 1e-9  # geometric sum over all of [0, n)
 
 class TestRamanujan:
     def test_examples(self):
-        r = expsums.ramanujan(9, 3)
+        (r,) = expsums.ramanujan(9, [3])
         assert r.closed == -3
         assert r.brute.value == pytest.approx(-3, abs=1e-9)
         assert r.complement.value == pytest.approx(3, abs=1e-9)
-        assert expsums.ramanujan(9, 1).closed == 0
-        assert expsums.ramanujan(1, 7).closed == 1
+        assert expsums.ramanujan(9, [1])[0].closed == 0
+        (one,) = expsums.ramanujan(1, [7])  # the one residue 0 is a unit
+        assert (one.closed, one.brute.value, one.brute.term_count) == (1, 1, 1)
+        assert (one.complement.value, one.complement.term_count) == (0, 0)
 
     def test_k_zero_gives_phi(self):
-        r = expsums.ramanujan(12, 0)
+        (r,) = expsums.ramanujan(12, [0])
         assert r.closed == 4 and r.brute.value == pytest.approx(4, abs=1e-9)
 
     @given(st.integers(min_value=1, max_value=800), st.integers(min_value=1, max_value=60))
     @settings(max_examples=200, deadline=None)
     def test_closed_matches_brute(self, n, k):
-        r = expsums.ramanujan(n, k)
+        (r,) = expsums.ramanujan(n, [k])
         assert abs(r.brute.value - r.closed) < 1e-8
         assert abs(r.closed) <= sigma(math.gcd(n, k))
         assert r.difference == abs(r.brute.value - r.closed)
@@ -78,20 +80,28 @@ class TestRamanujan:
     def test_complement_identity(self, n, k):
         if k % n == 0:
             return
-        r = expsums.ramanujan(n, k)
+        (r,) = expsums.ramanujan(n, [k])
         shared = brute_class_sum(n, k, [w for w in range(n) if math.gcd(w, n) > 1])
         assert r.complement.value == pytest.approx(shared, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 45, 1105])
+    def test_one_call_per_modulus_matches_one_k_at_a_time(self, n):
+        """Any list of k, repeats, steps, negatives and multiples of n
+        included, gives the reports of one-k calls, float for float."""
+        ks = [1, 2, 3, 3, 7, -1, 0, n, n + 1, 2 * n - 1, 50]
+        assert [repr(r) for r in expsums.ramanujan(n, ks)] == [repr(expsums.ramanujan(n, [k])[0]) for k in ks]
+        assert expsums.ramanujan(n, []) == []
 
     def test_refused_past_2_31_before_allocating(self):
         # the unit mask alone would take terabytes
         with pytest.raises(DomainError, match="2\\*\\*31"):
-            expsums.ramanujan(2**40 + 1, 1)
+            expsums.ramanujan(2**40 + 1, [1])
 
 class TestGaussSums:
     def test_trivial_character_reduces_to_unit_sum(self):
         chi = character_group(9).character_by_index(0)
         assert expsums.gauss_sum_brute(chi, 1).value == pytest.approx(
-            expsums.ramanujan(9, 1).brute.value, abs=1e-12
+            expsums.ramanujan(9, [1])[0].brute.value, abs=1e-12
         )
 
     def test_quadratic_mod_5_has_magnitude_sqrt_5(self):
@@ -222,14 +232,14 @@ class TestCancellation:
 
 class TestDecompositionReport:
     def test_identities_mod_9(self):
-        rep = expsums.decomposition_report(9, 1)
+        (rep,) = expsums.decomposition_reports(9, [1])
         assert rep.residual_total < 1e-12
         assert rep.residual_partition < 1e-12
         assert rep.stage_duplicates == 0
         assert rep.shared_factor_sum.value == pytest.approx(0, abs=1e-12)  # -mu(9)
 
     def test_mod_15(self):
-        rep = expsums.decomposition_report(15, 1)
+        (rep,) = expsums.decomposition_reports(15, [1])
         assert rep.residual_total < 1e-12 and rep.residual_partition < 1e-12
         assert rep.witness_sum.magnitude() == pytest.approx(
             rep.nonwitness_sum.magnitude(), abs=1e-12
@@ -243,7 +253,7 @@ class TestDecompositionReport:
     def test_class_sums_match_brute_force(self):
         n = 45
         scan = classify_all(n)
-        rep = expsums.decomposition_report(n, 2)
+        (rep,) = expsums.decomposition_reports(n, [2])
         assert rep.witness_sum.value == pytest.approx(
             brute_class_sum(n, 2, scan.witnesses), abs=1e-9
         )
@@ -256,13 +266,13 @@ class TestDecompositionReport:
 
     def test_k_divisible_by_n_rejected(self):
         with pytest.raises(DomainError):
-            expsums.decomposition_report(9, 9)
+            expsums.decomposition_reports(9, [9])
         with pytest.raises(DomainError):
-            expsums.decomposition_report(9, 0)
+            expsums.decomposition_reports(9, [0])
 
     def test_per_stage_sums_partition_minus_one_class(self):
         # 65 - 1 = 1 * 2**6: six stages, d = 1
-        rep = expsums.decomposition_report(65, 4)
+        (rep,) = expsums.decomposition_reports(65, [4])
         assert len(rep.per_stage_sums) == 6
         total = sum((cs.value for cs in rep.per_stage_sums), 0j)
         assert total == pytest.approx(rep.minus_one_sum.value, abs=1e-12)
@@ -273,19 +283,19 @@ class TestDecompositionReport:
         n = 2 * half + 1
         if k % n == 0:
             return
-        rep = expsums.decomposition_report(n, k)
+        (rep,) = expsums.decomposition_reports(n, [k])
         budget = 4 * rep.nonwitness_sum.error_budget
         assert rep.residual_total < max(budget, 1e-9)
         assert rep.residual_partition < max(budget, 1e-9)
 
 class TestErrorBudget:
     def test_budget_scales_with_modulus(self):
-        s = expsums.decomposition_report(10001, 1).witness_sum
+        s = expsums.decomposition_reports(10001, [1])[0].witness_sum
         assert s.error_budget == 10001 * 2.0**-50
         assert s.error_budget >= s.term_count * 2.0**-50
 
     def test_agreement_counts_the_budgets_of_the_values_compared(self):
-        s = expsums.decomposition_report(10001, 1).witness_sum
+        s = expsums.decomposition_reports(10001, [1])[0].witness_sum
         assert expsums.budget_ratio(s.error_budget, s) == 1.0
         assert expsums.budget_ratio(s.error_budget, s, 10001) == 0.5  # an FFT value mod 10001
         assert not expsums.agrees(s.error_budget, s)

@@ -1,4 +1,7 @@
+import cmath
 import itertools
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,3 +323,60 @@ def test_run_suites_sets_elapsed_on_every_result():
     results = suites.run_suites(["figure1", "trend"])
     assert [r.name for r in results] == ["figure1", "trend"]
     assert all(r.ok and r.elapsed_s > 0 for r in results)
+
+
+def _brute_cancellation_ratio(n_max):
+    """(max |S'|/sqrt(n), the least n attaining it) over the power-residue
+    sums of `suite_cancellation_ratio`: the liars of each odd composite
+    n <= n_max found by pow and grouped into the d-th roots and the stages
+    of -1, each group summed ascending with cmath."""
+    best, best_n = 0.0, 0
+    for n in range(9, n_max + 1, 2):
+        if all(n % p for p in range(3, math.isqrt(n) + 1, 2)):
+            continue
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        groups: dict = {}
+        for w in range(1, n):
+            if math.gcd(w, n) != 1:
+                continue
+            x = pow(w, d, n)
+            if x == 1:
+                groups.setdefault("root", []).append(w)
+                continue
+            for j in range(s):
+                if x == n - 1:
+                    groups.setdefault(j, []).append(w)
+                    break
+                x = x * x % n
+        for k in suites.RATIO_KS:
+            for ws in groups.values():
+                ratio = abs(sum(cmath.exp(2j * cmath.pi * (k * w % n) / n) for w in ws)) / math.sqrt(n)
+                if ratio > best:
+                    best, best_n = ratio, n
+    return best, best_n
+
+
+def test_cancellation_ratio_passes():
+    (r,) = suites.suite_cancellation_ratio(3000)
+    assert r.ok and r.failures == 0 and r.checked > 0
+
+
+def test_cancellation_ratio_maximum_matches_a_brute_search():
+    (r,) = suites.suite_cancellation_ratio(600)
+    match = re.search(r"max \|S'\|/sqrt\(n\) = ([0-9.]+) at n = (\d+);", r.summary)
+    best, best_n = _brute_cancellation_ratio(600)
+    assert int(match[2]) == best_n
+    assert float(match[1]) == pytest.approx(best, abs=1e-6)
+
+
+def test_cancellation_ratio_catches_a_zero_envelope(monkeypatch):
+    monkeypatch.setattr(suites, "sigma", lambda k: 0)
+    (r,) = suites.suite_cancellation_ratio(200)
+    assert not r.ok and r.failures == r.checked
+
+
+def test_characters_passes():
+    (r,) = suites.suite_characters(60, 200)
+    assert r.ok and r.failures == 0 and r.checked > 0

@@ -211,7 +211,7 @@ class TestWitnessArrays:
         equidist.interval_fraction(n, 0.125, 0.6)
         assert 0 < equidist.star_discrepancy(n) < 1
         assert len(equidist.weyl_battery(n, 3)) == 3
-        assert expsums.decomposition_report(n, 3).residual_total < 1e-6
+        assert expsums.decomposition_reports(n, [3])[0].residual_total < 1e-6
         for view in ("codes", "stages"):
             with pytest.raises(AssertionError, match="codes were built"):
                 getattr(scan, view)
