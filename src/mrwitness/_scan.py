@@ -12,8 +12,8 @@ not at level j: the odd powers of the level-(j + 1) generator.  Such units
 exist only for j < min v2(p_i - 1).  Both sets are CRT products of
 per-component power tables, so the cost is O(n) byte writes plus the size
 of the liar set.  Every statistic reads that mask; the class codes and
-stages of `witness.ResidueScan` are a view of the mask and the sets, read
-by the tests and perfbench.
+stages of `witness.ResidueScan` are a view of the mask and the sets,
+checked by the partition suite and read by the tests and perfbench.
 
 `scan_numpy` is the independent pow route that the tests compare it with:
 w**d mod n for every w by blocked, vectorized square-and-multiply, then the
@@ -30,7 +30,7 @@ Shared kernels, each defined once here:
   them (`witness.classify_all`, whose sets `nonwitness_mask` writes, and
   the cancel-ratio suite's power-residue sets);
 * `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
-  the partition suite's batched pow re-check);
+  the partition suite's batched pow re-check of the stored codes);
 * `_powers`: the power table of one generator (the liar subgroups here,
   the discrete-log tables of `characters`, which invert it);
 * `outer_sum`: one value per index vector, summed over components (the

@@ -35,7 +35,7 @@ from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
 from .arith import divisors, factorize, mobius
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import DomainError
-from .witness import classify_all, mr_decompose
+from .witness import classify_all
 
 MAX_FREQUENCY = 10**6  # |k| beyond this is outside the supported desk scale
 
@@ -128,12 +128,11 @@ def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
     Within a block, the index k*w mod n of a k whose residue mod n is one
     more than the previous k's is carried from it: adding w < n to an
     index below n gives a sum t < 2n, and t mod n is the smaller of t and
-    t - n read as unsigned, where t - n < 0 wraps above 2**63.  A repeated
-    residue reuses the index; any other k reduces (k mod n) * w afresh,
-    which is below n**2 < 2**62 for n < 2**31, so the floor-divide
-    reduction is exact and gives the same indices as `%`.  Each k then
-    gathers the same table entries in the same order and sums them on the
-    same tree.
+    t - n read as unsigned, where t - n < 0 wraps above 2**63.  Any other
+    k reduces (k mod n) * w afresh, which is below n**2 < 2**62 for
+    n < 2**31, so the floor-divide reduction is exact and gives the same
+    indices as `%`.  Each k then gathers the same table entries in the
+    same order and sums them on the same tree.
     """
     krs = [k % n for k in ks]
     if len(residues) == 0:
@@ -151,7 +150,7 @@ def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
                 idx += ws
                 np.subtract(idx, n, out=scratch)
                 np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
-            elif kr != prev:
+            else:
                 np.multiply(ws, kr, out=idx)
                 _reduce(idx, n, scratch)
             sums[j] = table[idx].sum()
@@ -204,8 +203,6 @@ def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
     """Term-by-term sum of chi(w) * e(k*w/n) over all w in [0, n)."""
     n = chi.modulus
     vals = chi.value_table()
-    if n == 1:
-        return _csum(complex(vals[0]), 1, 1)
     z = complex((vals * _root_table(n)[(k % n) * np.arange(n, dtype=np.int64) % n]).sum())
     return _csum(z, n, n)
 
@@ -393,25 +390,24 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     component rather than O(n) pow evaluations.  Every k is checked first;
     then each set is summed for all ks in one `_phase_sums` call.
     """
-    dec = mr_decompose(n)
     scan = classify_all(n)
     ks = list(ks)
     for k in ks:
         if _check_k(n, k) == 0:
             raise DomainError(f"k = {k} is divisible by n = {n}; the cancellation identity needs n to not divide k")
     comps = _components(scan.fac)
-    powers = [pow_all_numpy(q, dec.d) for q in comps]
+    powers = [pow_all_numpy(q, scan.d) for q in comps]
     root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
     stage_sets: list[np.ndarray] = []
     seen = np.zeros(n, bool)
     duplicates = 0
-    for j in range(dec.s):
+    for j in range(scan.s):
         sols = _solutions(n, [(q, x == q - 1) for q, x in zip(comps, powers)])
         dup = seen[sols]
         duplicates += int(dup.sum())
         stage_sets.append(sols[~dup])
         seen[sols] = True
-        if j + 1 < dec.s:
+        if j + 1 < scan.s:
             for q, x in zip(comps, powers):
                 x *= x
                 _reduce(x, q, np.empty_like(x))

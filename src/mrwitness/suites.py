@@ -19,7 +19,7 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from . import equidist, expsums
-from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, liar_codes, liar_sets
+from ._scan import CODE_DTH_ROOT, CODE_NON_COPRIME, liar_codes, liar_sets
 from .arith import (
     divisors,
     euler_phi,
@@ -91,42 +91,36 @@ _RECHECK_BATCH = 1 << 18
 
 
 def _partition_ok(scan, liars: np.ndarray) -> bool:
-    """The partition facts of one n on the liar sets of `classify_all` and
-    the mask built from them (liars: the sets concatenated).  Each set has
-    its class or stage size in Monier's closed form and no residue is in two
-    sets or twice in one; the mask marks the liars and the multiples of the
-    primes of n, which are no liars, and n - phi(n) + #liars residues in
-    all, so it is exactly those; 1 is a d-th root, n - 1 is at stage 0."""
-    n, sets, mask = scan.n, scan.liars, scan.mask
-    seen = np.zeros(n, bool)
-    seen[liars] = True
+    """The partition facts of one n on the liar sets of `classify_all`, the
+    mask built from them and the class codes and stages viewed from both
+    (liars: the sets concatenated).  Each set has its class or stage size
+    in Monier's closed form; the codes are at least CODE_DTH_ROOT on as
+    many residues as the sets hold, so no residue is in two sets or twice
+    in one, and CODE_NON_COPRIME on every multiple of a prime of n, so no
+    liar is one.  The mask marks the liars and those multiples, and
+    n - phi(n) + #liars residues in all, so it is exactly those; 1 is a
+    d-th root, n - 1 is at stage 0."""
+    n, codes, mask = scan.n, scan.codes, scan.mask
     return (
-        [len(x) for x in sets] == [scan.counts.dth_root, *scan.per_stage]
-        and np.count_nonzero(seen) == len(liars)
+        [len(x) for x in scan.liars] == [scan.counts.dth_root, *scan.per_stage]
+        and np.count_nonzero(codes >= CODE_DTH_ROOT) == len(liars)
         and mask[liars].all()
-        and all(mask[::p].all() and not seen[::p].any() for p in scan.fac.primes)
+        and all(mask[::p].all() and (codes[::p] == CODE_NON_COPRIME).all() for p in scan.fac.primes)
         and np.count_nonzero(mask) == scan.counts.non_coprime + len(liars)
-        and bool(np.any(sets[0] == 1))
-        and bool(np.any(sets[1] == n - 1))
+        and codes[1] == CODE_DTH_ROOT
+        and scan.stages[n - 1] == 0
     )
 
 
 def _recheck_row(scan, liars: np.ndarray, composite: bool, rng) -> tuple:
     """The `_pow_recheck` row of one n: every liar of a composite, or 1,
-    n - 1 and seeded others of a prime, each with the code and stage of its
-    set; liars: the sets concatenated."""
-    sets = scan.liars
-    if composite or len(liars) <= PARTITION_PRIME_SAMPLE:
-        pos = np.arange(len(liars))
-    else:
-        pos = np.concatenate([
-            np.flatnonzero(sets[0] == 1)[:1],
-            len(sets[0]) + np.flatnonzero(sets[1] == scan.n - 1)[:1],
-            rng.choice(len(liars), PARTITION_PRIME_SAMPLE - 2, replace=False),
-        ])
-    which = np.searchsorted(np.cumsum([len(x) for x in sets]), pos, side="right")
-    codes = np.where(which == 0, CODE_DTH_ROOT, CODE_MINUS_ONE)
-    return scan.n, scan.d, scan.s, liars[pos], codes, which - 1
+    n - 1 and seeded others of a prime, each with its stored code and
+    stage; liars: the sets concatenated."""
+    units = liars
+    if not composite and len(liars) > PARTITION_PRIME_SAMPLE:
+        picked = rng.choice(len(liars), PARTITION_PRIME_SAMPLE - 2, replace=False)
+        units = np.concatenate([[1, scan.n - 1], liars[picked]])
+    return scan.n, scan.d, scan.s, units, scan.codes[units], scan.stages[units]
 
 
 def _pow_recheck(batch: list[tuple]) -> set[int]:
@@ -161,15 +155,17 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
     partition: for every odd n in [3, n_max] the liar sets of
-    `classify_all` and the non-witness mask that every statistic reads are
-    the true partition of [0, n).  `_partition_ok` checks them against
-    Monier's closed form from the scan's own factorization (also the source
-    of its counts); a vectorized pow re-check confirms every liar of a
-    composite, or 1, n - 1 and a seeded sample of at most 64 liars of a
-    prime (a full re-check would be the whole pow scan), against the class
-    and stage of its set.  A subset of the true set with the true size is
-    the true set, so each set is its class, and the mask leaves the
-    witnesses exact; odd primes have none.  Hard.
+    `classify_all`, the non-witness mask that every statistic reads and
+    the class codes and stages viewed from them are the true partition of
+    [0, n).  `_partition_ok` checks them against Monier's closed form from
+    the scan's own factorization (also the source of its counts); a
+    vectorized pow re-check confirms the stored code and stage of every
+    liar of a composite, or of 1, n - 1 and a seeded sample of at most 64
+    liars of a prime (a full re-check would be the whole pow scan).  The
+    view writes the class and stage of each set at its residues, so a
+    subset of the true set with the true size is the true set, each set is
+    its class, and the mask leaves the witnesses exact; odd primes have
+    none.  Hard.
 
     rabin: for every odd composite n the strong liars number at most
     (n-1)/4, with equality exactly at n = 9.  Hard.  The coprime-witness
@@ -200,10 +196,10 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
             batch, batch_size = [], 0
         if composite:
             composites += 1
-            liars = c.strong_liars
-            if 4 * liars > n - 1:
+            strong = c.strong_liars
+            if 4 * strong > n - 1:
                 rabin_fail += 1
-            if 4 * liars == n - 1:
+            if 4 * strong == n - 1:
                 equality_ns.append(n)
             if 4 * c.witness <= 3 * (n - 1):
                 findings.append(
@@ -211,11 +207,11 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
                         "n": n,
                         "witness_count": c.witness,
                         "required_more_than": 3 * (n - 1) / 4,
-                        "strong_liar_count": liars,
+                        "strong_liar_count": strong,
                         "non_coprime_count": c.non_coprime,
                     }
                 )
-    if equality_ns != [9]:
+    if equality_ns != ([9] if n_max >= 9 else []):
         rabin_fail += 1
     failed |= _pow_recheck(batch)
     partition = SuiteResult(

@@ -18,7 +18,8 @@ factorization, Monier's class counts and the liar sets.  Its `ResidueScan`
 builds each n-sized array the first time it is read, all from one bool
 mask, the one writer of membership: the witness statistics read only
 `witnesses` and `nonwitnesses`; the per-residue `codes` and `stages` are a
-view of the mask and the liar sets, read by the tests and perfbench.
+view of the mask and the liar sets, checked by the partition suite and
+read by the tests and perfbench.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class ResidueScan:
     per-residue `codes` (the integer codes of `_scan`: 1 wherever the mask
     is set, 2 and 3 on the liar sets) and `stages` (the index of the stage
     set holding a code-3 residue, -1 elsewhere) are a view of the mask and
-    the liar sets, read by the tests and perfbench.
+    the liar sets, checked by the partition suite and read by the tests
+    and perfbench.
     """
 
     n: int

@@ -17,7 +17,9 @@ verify_cancellation_additivity.txt, verify_ramanujan.txt and
 verify_cancel_dual.txt are what commit 914fb48 printed for the
 cancellation and additivity, ramanujan and cancel-dual suites at their
 default bounds; the acceptance tests compare each with the results of the
-run they already make.  verify_gauss_primitive.txt and
+run they already make, and the "Verify suites" step of
+.github/workflows/tier1.yml diffs the cancel-dual file too.
+verify_gauss_primitive.txt and
 verify_imprimitive.txt are what commit b5df8f0 printed for the
 gauss-primitive and imprimitive suites at their default bounds, and
 verify_imprimitive_findings.sha256 is the sha256 of the findings CSV that

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mrwitness import _scan, expsums
 from mrwitness.arith import sigma
-from mrwitness.characters import character_group
+from mrwitness.characters import CharacterGroup, character_group
 from mrwitness.errors import DomainError
 from mrwitness.witness import classify_all
 
@@ -103,6 +103,11 @@ class TestGaussSums:
         assert expsums.gauss_sum_brute(chi, 1).value == pytest.approx(
             expsums.ramanujan(9, [1])[0].brute.value, abs=1e-12
         )
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_modulus_1_is_one_term(self, k):
+        chi = CharacterGroup(1).character_by_index(0)
+        assert expsums.gauss_sum_brute(chi, k) == expsums.ComplexSum(1.0, 0.0, 1, 2**-50)
 
     def test_quadratic_mod_5_has_magnitude_sqrt_5(self):
         chi = character_group(5).character((2,))

@@ -45,9 +45,9 @@ def _bits(zs):
 
 
 def _mixed_ks(n):
-    """A repeat, a negative k, the carry from n - 1 to 0 (at k = 0 and at
-    k = n) and on to n + 1, and the largest supported k: each branch of
-    the index update."""
+    """A repeat (reduced afresh), a negative k, the carry from n - 1 to 0
+    (at k = 0 and at k = n) and on to n + 1, and the largest supported k:
+    both branches of the index update."""
     return [3, 3, 7, -1, 0, n - 1, n, n + 1, 10**6]
 
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mrwitness import _scan, characters, expsums, suites
+from mrwitness import _scan, characters, expsums, suites, witness
 from mrwitness.arith import Factorization, euler_phi, factorize, is_prime
 
 
@@ -54,6 +55,21 @@ def _keep_marking(monkeypatch, lost):
             mask[lost[n]] = True
 
     _corrupt_mask(monkeypatch, mark)
+
+
+def _corrupt_view(monkeypatch, name, corrupt):
+    """Pass the `ResidueScan` view `name` (codes or stages) of every n
+    through corrupt(scan, view) when it is first built."""
+    original = getattr(witness.ResidueScan, name).func
+
+    def view(scan):
+        out = original(scan)
+        corrupt(scan, out)
+        return out
+
+    cached = functools.cached_property(view)
+    cached.__set_name__(witness.ResidueScan, name)
+    monkeypatch.setattr(witness.ResidueScan, name, cached)
 
 
 def _composites_with_witnesses(n_max):
@@ -118,8 +134,8 @@ def test_partition_catches_a_mask_missing_a_liar(monkeypatch):
 
 def test_partition_catches_1_traded_into_stage_0(monkeypatch):
     """1 and the first stage-0 residue trade sets: sizes and the mask hold.
-    The pow re-check sees it in a composite; in a prime, whose liars it
-    samples, the check that 1 is a d-th root does."""
+    The check that 1 is a d-th root sees it, and so does the pow re-check
+    of the stored codes, which always takes 1 and n - 1 of a prime."""
 
     def trade(n, sets):
         sets[0][0], sets[1][0] = sets[1][0], sets[0][0]  # 1 leads the CRT order
@@ -172,6 +188,36 @@ def test_partition_catches_a_mask_marking_a_witness(monkeypatch):
     _corrupt_mask(monkeypatch, mark_witness)
     r = _partition(301)
     assert not r.ok and r.failures == _composites_with_witnesses(301)
+
+
+def test_partition_catches_a_stage_view_moving_a_liar(monkeypatch):
+    """The stages view moves the least stage-0 residue to stage 1: n - 1
+    itself where it is the only one, which the stage-0 check sees, and
+    otherwise a liar whose stored stage the pow re-check sees in every
+    composite."""
+
+    def move(scan, stages):
+        stages[np.flatnonzero(stages == 0)[0]] = 1
+
+    _corrupt_view(monkeypatch, "stages", move)
+    r = _partition(301)
+    assert not r.ok and r.failures >= _composites_with_witnesses(301)
+
+
+def test_partition_catches_a_code_view_marking_a_liar_as_a_witness(monkeypatch):
+    """The codes view marks n - 1 as a witness; the pow re-check is
+    switched off, so the count of liar codes sees it."""
+    _corrupt_view(monkeypatch, "codes", lambda scan, codes: codes.__setitem__(scan.n - 1, _scan.CODE_WITNESS))
+    monkeypatch.setattr(suites, "_pow_recheck", lambda batch: set())
+    r = _partition(301)
+    assert not r.ok and r.failures == r.checked
+
+
+@pytest.mark.parametrize("n_max", [7, 9])
+def test_rabin_expects_equality_at_9_only_when_in_range(n_max):
+    (rabin,) = [r for r in suites.suite_partition_rabin(n_max) if r.name == "rabin"]
+    assert rabin.ok and rabin.checked == (n_max >= 9)
+    assert f"equality exactly at {[9] if n_max >= 9 else []}" in rabin.summary
 
 
 def test_imprimitive_passes():
