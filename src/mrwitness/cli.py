@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import equidist, expsums, suites
+from . import concurrency, equidist, expsums, suites
 from .arith import factorize, is_prime
 from .characters import character_group
 from .errors import DomainError
@@ -369,7 +369,7 @@ def cmd_scan(args) -> int:
         except (OSError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins, max_workers=args.threads)
+        rows = equidist.scan(cfg.n_values, cfg.k_max, cfg.bins)
         for row in rows:
             print(f"scan n={row.n} runtime_ms={row.runtime_ms:.1f}", file=sys.stderr)
         header = _scan_header(cfg.k_max)
@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify strong-compositeness witnesses and the exponential sums over them.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="scan worker threads (default: env WITNESS_THREADS, "
-                             "else all cores; 0 means unset)")
+                        help="worker threads of every pool: scan rows and phase-sum blocks "
+                             "(default: env WITNESS_THREADS, else all cores; 0 means unset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write n-1 = d * 2^s")
@@ -501,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    threads = concurrency._flag.set(args.threads)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader gone after the last write shows here
@@ -515,6 +516,8 @@ def main(argv=None) -> int:
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_PIPE
+    finally:
+        concurrency._flag.reset(threads)
 
 
 if __name__ == "__main__":

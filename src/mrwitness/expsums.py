@@ -20,12 +20,17 @@ of at most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.
+gathered arrays stay block-sized.  The blocks are independent, so a call
+from the main thread runs them on `concurrency.thread_count()` workers
+and adds their sums up the tree in the same order: the same bits for any
+worker count.  Calls from other threads run their blocks inline.
+`gauss_sum_brute` walks the same blocks over the full range [0, n).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,7 +109,7 @@ def _check_k(n: int, k: int) -> int:
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
 
 
-def _pairwise_blocks(residues: np.ndarray, leaf):
+def _pairwise(residues: np.ndarray, leaf):
     """leaf(block) over the blocks of numpy's pairwise-summation tree of
     len(residues) complex values, added back up the same tree.
 
@@ -118,7 +123,51 @@ def _pairwise_blocks(residues: np.ndarray, leaf):
     if count <= _LEAF:
         return leaf(residues)
     half = (count - count % 8) // 2
-    return _pairwise_blocks(residues[:half], leaf) + _pairwise_blocks(residues[half:], leaf)
+    return _pairwise(residues[:half], leaf) + _pairwise(residues[half:], leaf)
+
+
+def _settled(leaf, block):
+    """leaf(block) run here, its value or error held in a Future as a pool's
+    would be."""
+    from concurrent.futures import Future
+
+    done = Future()
+    try:
+        done.set_result(leaf(block))
+    except Exception as exc:  # raised again, in block order, by the caller
+        done.set_exception(exc)
+    return done
+
+
+def _pairwise_blocks(residues: np.ndarray, leaf):
+    """`_pairwise(residues, leaf)`, its blocks run on `thread_count()` workers.
+
+    The block sums are added back up the same tree in the same order, so
+    the result is the same bits for any worker count.  A call from the main
+    thread with more than one block runs every W-th block itself and the
+    rest on a pool of W - 1 threads that ends with the call; a call from any
+    other thread (a `scan` row, a pool worker) runs its blocks inline, so
+    pools never nest.  An error is the first in block order, as serially.
+    """
+    if len(residues) <= _LEAF:  # no import, no thread count: the cost of one leaf
+        return leaf(residues)
+    workers = 1
+    if threading.current_thread() is threading.main_thread():
+        from .concurrency import thread_count
+
+        workers = thread_count()
+    if workers == 1:
+        return _pairwise(residues, leaf)
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs about 3 ms
+
+    blocks = _pairwise(residues, lambda block: [block])  # the leaves, in tree order
+    workers = min(workers, len(blocks))
+    with ThreadPoolExecutor(workers - 1) as pool:
+        done = [pool.submit(leaf, block) if i % workers else None for i, block in enumerate(blocks)]
+        for i in range(0, len(blocks), workers):
+            done[i] = _settled(leaf, blocks[i])
+    sums = iter([d.result() for d in done])
+    return _pairwise(residues, lambda block: next(sums))
 
 
 def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
@@ -200,10 +249,18 @@ def ramanujan(n: int, ks) -> list[RamanujanSum]:
 
 
 def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
-    """Term-by-term sum of chi(w) * e(k*w/n) over all w in [0, n)."""
+    """Term-by-term sum of chi(w) * e(k*w/n) over all w in [0, n), in the
+    blocks of `_pairwise_blocks`: the bits of the full-array sum, with
+    block-sized temporaries."""
     n = chi.modulus
     vals = chi.value_table()
-    z = complex((vals * _root_table(n)[(k % n) * np.arange(n, dtype=np.int64) % n]).sum())
+    table = _root_table(n)
+    kr = k % n
+
+    def leaf(ws):  # consecutive residues: their values are a slice, not a gather
+        return (vals[ws[0]:ws[0] + len(ws)] * table[kr * ws % n]).sum()
+
+    z = complex(_pairwise_blocks(np.arange(n, dtype=np.int64), leaf))
     return _csum(z, n, n)
 
 

@@ -400,6 +400,17 @@ class TestClosedStdout:
         assert capsys.readouterr().err == ""
 
 
+# (WITNESS_THREADS, --threads, the worker count they give with 5 CPUs)
+_PRECEDENCE = [
+    ("4", "3", 3),  # --threads first
+    ("4", "0", 4),  # 0 is unset: then WITNESS_THREADS
+    ("4", None, 4),
+    (None, "3", 3),
+    (None, "0", 5),  # then the CPU count
+    (None, None, 5),
+]
+
+
 class TestThreads:
     def test_env_var_fallback(self, monkeypatch):
         monkeypatch.setenv("WITNESS_THREADS", "3")
@@ -414,15 +425,10 @@ class TestThreads:
         code, out = run_cli("--threads", "1", "decompose", "--n", "9")
         assert code == 0 and out == "d=1 s=3\n"
 
-    @pytest.mark.parametrize("env, flag, expected", [
-        ("4", "3", 3),  # --threads first
-        ("4", "0", 4),  # 0 is unset: then WITNESS_THREADS
-        ("4", None, 4),
-        (None, "3", 3),
-        (None, "0", 5),  # then the CPU count
-        (None, None, 5),
-    ])
-    def test_scan_worker_precedence(self, env, flag, expected, tmp_path, monkeypatch):
+    @staticmethod
+    def _check_precedence(call, env, flag, expected, monkeypatch):
+        """The pools that `call` starts are sized by the one rule, and the
+        flag does not outlive its `main` call."""
         if env is None:
             monkeypatch.delenv("WITNESS_THREADS", raising=False)
         else:
@@ -436,12 +442,18 @@ class TestThreads:
             return workers[-1]
 
         monkeypatch.setattr(concurrency, "thread_count", thread_count)
+        argv = call if flag is None else ["--threads", flag] + call
+        assert run_cli(*argv)[0] == 0
+        assert workers == [expected]
+        assert original() == (5 if env is None else int(env))  # the flag does not outlive its call
+
+    @pytest.mark.parametrize("env, flag, expected", _PRECEDENCE)
+    def test_scan_worker_precedence(self, env, flag, expected, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n_values = 9, 15\nk_max = 2\n")
-        argv = ["scan", "--config", str(cfg)]
-        if flag is not None:
-            argv = ["--threads", flag] + argv
-        assert run_cli(*argv)[0] == 0
-        assert run_cli("scan", "--config", str(cfg))[0] == 0  # the flag does not outlive its call
-        assert workers[0] == expected
-        assert workers[1] == (5 if env is None else int(env))
+        self._check_precedence(["scan", "--config", str(cfg)], env, flag, expected, monkeypatch)
+
+    @pytest.mark.parametrize("env, flag, expected", _PRECEDENCE)
+    def test_weyl_worker_precedence(self, env, flag, expected, monkeypatch):
+        """The phase-sum blocks: 34510 witnesses at 40001 make two."""
+        self._check_precedence(["weyl", "--n", "40001", "--k", "2"], env, flag, expected, monkeypatch)

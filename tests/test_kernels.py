@@ -1,12 +1,15 @@
 """The full-residue kernels against scalar references, value for value."""
 
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrwitness import expsums
+from mrwitness import concurrency, expsums
 from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy
 from mrwitness.arith import is_prime
 from mrwitness.witness import WitnessClass, _minus_one_stage, classify, classify_all, mr_decompose
@@ -103,6 +106,56 @@ class TestPhaseSumsOracle:
     def test_witness_sets(self):
         for n in (200005, 1056331, 2074757):
             self._check(classify_all(n).witnesses, n)
+
+
+class TestBlockWorkers:
+    """The blocks of the pairwise tree on up to three workers: the same
+    bits, the same first error, and no pool outside the main thread."""
+
+    @staticmethod
+    def _workers(monkeypatch, count):
+        monkeypatch.setattr(concurrency, "thread_count", lambda override=None: count)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bitwise_for_any_worker_count(self, workers, monkeypatch):
+        self._workers(monkeypatch, workers)
+        n = 1_000_003
+        rng = np.random.default_rng(17)
+        leaf = expsums._LEAF
+        for count in (leaf, leaf + 1, 3 * leaf + 5):
+            _check_bits(np.sort(rng.choice(n, count, replace=False)), n, _mixed_ks(n))
+
+    def test_other_threads_run_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        n = 1_000_003
+        ws = np.arange(1, 2 * expsums._LEAF + 2)
+        with pytest.raises(AssertionError, match="pool started"):
+            expsums._phase_sums(ws, [1], n)  # the main thread would start one
+        got = []
+        worker = threading.Thread(target=lambda: got.append(expsums._phase_sums(ws, [1, 5], n)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        table = expsums._root_table(n)
+        assert got == [[complex(table[k * ws % n].sum()) for k in (1, 5)]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_error_in_block_order(self, workers, monkeypatch):
+        """Every block but the first raises; with two or three workers
+        block 1 runs on the pool and later ones on the caller too."""
+        self._workers(monkeypatch, workers)
+
+        def leaf(ws):
+            if ws[0]:
+                raise ValueError(f"block at {ws[0]}")
+            return np.zeros(1, np.complex128)
+
+        with pytest.raises(ValueError, match=f"^block at {3 * expsums._LEAF // 4}$"):
+            expsums._pairwise_blocks(np.arange(3 * expsums._LEAF + 5), leaf)
 
 
 class TestLiarCodes:
