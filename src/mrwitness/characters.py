@@ -7,10 +7,12 @@ p**e block is cyclic with the smallest primitive root as generator; the
 character is one exponent per generator, and its value at a unit w is
 e(sum_i t_i * a_i / m_i) where the a_i are componentwise discrete logs of
 w.  Logs come from per-component int32 lookup tables built on first use
-by scattering the indices of the generator's power table.
-Every phase is an integer numerator over the group exponent M, so equality
-tests (orthogonality, conductors) never depend on floating-point
-tolerances, and value tables index one cached table of e(j/M) per group.
+by scattering the indices of the generator's power table; they are the
+only copy, and n-wide sums of logs read each one through an (n/q, q)
+view of their output.  Every phase is an integer numerator over the
+group exponent M, so equality tests (orthogonality, conductors) never
+depend on floating-point tolerances, and value tables index one cached
+table of e(j/M) per group.
 
 The conductor is a product of per-component conductors read off the
 exponents in closed form, and the inducing primitive character's
@@ -137,7 +139,6 @@ class CharacterGroup:
         self.orders = tuple(m for c in self.components for m in c.orders)
         self.total_order = math.prod(self.orders)  # = phi(n)
         self.exponent = math.lcm(*self.orders)
-        self._log_matrix: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
         self._roots: np.ndarray | None = None
         self._divisor_groups: dict[int, CharacterGroup] = {}
 
@@ -173,24 +174,26 @@ class CharacterGroup:
             out.extend(int(tab[r]) for tab in comp.log_tables())
         return tuple(out)
 
-    def log_matrix(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(logs, unit_mask): logs holds one int32 row per generator over all
-        w in [0, n), 0 on non-units.  When n is a prime power the rows are
-        the component's log tables themselves."""
-        if self._log_matrix is None:
-            if self.n >= _BATCH_LIMIT:
-                raise DomainError(f"character value tables support n < 2**31, got {self.n}")
-            tables = [comp.log_tables() for comp in self.components]  # each meets its size limit before any n-sized array
-            rows: list[np.ndarray] = []
-            mask = np.ones(self.n, bool)
-            for comp, tabs in zip(self.components, tables):
-                mask[:: comp.p] = False
-                if comp.modulus == self.n:
-                    rows += tabs
-                else:  # row[w] = tab[w % q], with q | n
-                    rows += (np.tile(tab, self.n // comp.modulus) for tab in tabs)
-            self._log_matrix = (tuple(rows), mask)
-        return self._log_matrix
+    def log_combination(self, weights) -> np.ndarray:
+        """sum_i weights[i] * a_i(w) as int64 for every w in [0, n), one
+        non-negative weight per generator; -1 on the non-units.
+
+        Each component's table, times its weights, is added to the rows of
+        an (n/q, q) view, which reads it at w mod q with no tiled copy and
+        no residue range.
+        """
+        if self.n >= _BATCH_LIMIT:
+            raise DomainError(f"character value tables support n < 2**31, got {self.n}")
+        # each component meets its size limit here, before any n-sized array
+        rows = [(comp.modulus, tab) for comp in self.components for tab in comp.log_tables()]
+        out = np.zeros(self.n, np.int64)
+        for (q, tab), c in zip(rows, weights, strict=True):
+            if c:
+                view = out.reshape(-1, q)
+                view += np.multiply(tab, c, dtype=np.int64)  # widened first: c * a can pass 2**31
+        for comp in self.components:
+            out[:: comp.p] = -1
+        return out
 
     def roots(self) -> np.ndarray:
         """e(j/M) for j in [0, M), M the group exponent; built once."""
@@ -286,17 +289,13 @@ class DirichletCharacter:
         )
 
     def value_table(self) -> np.ndarray:
-        """Values at every w in [0, n), vectorized through the group log matrix."""
-        logs, mask = self.group.log_matrix()
+        """Values at every w in [0, n), from `CharacterGroup.log_combination`."""
         M = self.group.exponent
-        num = np.zeros(self.group.n, np.int64)
-        for t, m, row in zip(self.exponents, self.group.orders, logs):
-            if t:
-                # widened before the product: t * (M / m) * a reaches M * m
-                num += np.multiply(row, t * (M // m), dtype=np.int64)
+        num = self.group.log_combination(t * (M // m) for t, m in zip(self.exponents, self.group.orders))
         num %= M
         vals = self.group.roots()[num]
-        vals[~mask] = 0
+        for comp in self.group.components:
+            vals[:: comp.p] = 0
         return vals
 
     def _component_exponents(self):

@@ -94,8 +94,10 @@ def budget_ratio(difference, *values):
 
 @lru_cache(maxsize=8)
 def _root_table(n: int) -> np.ndarray:
-    """e(m/n) for m in [0, n)."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in place."""
+    z = 2j * np.pi * np.arange(n)
+    z /= n
+    return np.exp(z, out=z)
 
 
 def _check_k(n: int, k: int) -> int:
@@ -383,16 +385,14 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     In the exponents t, tau(chi_t, k) = sum over units w of
     e(sum_i t_i a_i(w) / m_i) e(k w / n) is an inverse DFT over the
     discrete-log grid of shape group.orders, on which each unit w sits at
-    its log vector a(w): tau = phi(n) * ifftn(grid).
+    its log vector a(w), flat index `log_combination(strides)`:
+    tau = phi(n) * ifftn(grid).
     """
     n = group.n
-    logs, mask = group.log_matrix()
-    units = np.flatnonzero(mask)
-    flat = np.zeros(len(units), np.int64)
-    for m, row in zip(group.orders, logs):
-        flat = flat * m + row[units]
+    flat = group.log_combination(math.prod(group.orders[i + 1 :]) for i in range(len(group.orders)))
+    units = np.flatnonzero(flat >= 0)
     grid = np.zeros(group.total_order, np.complex128)
-    grid[flat] = _root_table(n)[(k % n) * units % n]
+    grid[flat[units]] = _root_table(n)[(k % n) * units % n]
     return group.total_order * np.fft.ifftn(grid.reshape(group.orders or (1,))).ravel()
 
 

@@ -109,12 +109,14 @@ class TestEvaluation:
 
     def test_component_limit_before_any_n_sized_array(self):
         """The prime 10000019 is past the 10**7 log-table limit: refused
-        before the 80 MB int64 range of its residues is built."""
+        before the 80 MB int64 array of its log sums is built."""
         g = character_group(10_000_019)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="components up to 10000000"):
-                g.log_matrix()
+                g.character_by_index(1).value_table()
+            with pytest.raises(DomainError, match="components up to 10000000"):
+                expsums.gauss_sums(g, 1)
             with pytest.raises(DomainError, match="components up to 10000000"):
                 expsums.gauss_sum_reduced(g.character_by_index(0), 1)
             peak = tracemalloc.get_traced_memory()[1]
@@ -122,29 +124,41 @@ class TestEvaluation:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_log_matrix_is_the_tables_read_at_w_mod_q(self):
+    def test_log_combination_reads_the_tables_at_w_mod_q(self):
+        """Against int64 sums of tab[w % q]: one weight at a time, which
+        reads every table alone, then weights whose products pass 2**31;
+        -1 exactly on the w with gcd(w, n) > 1."""
         for n in [*range(1, 401), 255_255]:
             g = CharacterGroup(n)
-            logs, mask = g.log_matrix()
             w = np.arange(n)
-            expected = [tab[w % comp.modulus] for comp in g.components for tab in comp.log_tables()]
-            assert len(logs) == len(expected), n
-            for row, tab in zip(logs, expected):
-                assert row.dtype == np.int32 and np.array_equal(row, tab), n
-            assert np.array_equal(mask, np.gcd(w, n) == 1), n
+            tabs = [tab[w % comp.modulus].astype(np.int64) for comp in g.components for tab in comp.log_tables()]
+            units = np.gcd(w, n) == 1
+            r = len(tabs)
+            for weights in [*([int(i == j) for j in range(r)] for i in range(r)), [2**40 + i for i in range(r)]]:
+                got = g.log_combination(weights)
+                want = sum((c * tab for c, tab in zip(weights, tabs)), np.zeros(n, np.int64))
+                assert got.dtype == np.int64, n
+                assert np.array_equal(got[units], want[units]), (n, weights)
+                assert np.array_equal(got < 0, ~units) and (got[~units] == -1).all(), n
 
-    def test_log_matrix_builds_no_residue_range(self):
-        """255255 = 3*5*7*11*13*17: six components, none of them all of n,
-        so every row is a tiled table and the peak stays near the rows and
-        the mask themselves (an int64 residue range alone is 2 MB)."""
-        g = CharacterGroup(255_255)
+    def test_value_table_builds_no_residue_range(self):
+        """255255 = 3*5*7*11*13*17: six components, none of them all of n.
+        With the component tables built, a value table peaks at its int64
+        log sums and the complex table itself: no tiled table and no
+        residue range."""
+        n = 255_255
+        g = CharacterGroup(n)
+        for comp in g.components:
+            comp.log_tables()
+        g.roots()
+        chi = g.character_by_index(50_000)
         tracemalloc.start()
         try:
-            logs, mask = g.log_matrix()
+            chi.value_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < sum(row.nbytes for row in logs) + mask.nbytes + 2**20
+        assert peak < 24 * n + 2**20
 
 
 class TestPower:
@@ -213,7 +227,9 @@ def brute_conductors(n: int):
     coprime lifts of the generators mod q (CRT: the generator on its own
     prime power, 1 on the rest of q)."""
     g = CharacterGroup(n)
-    logs, mask = g.log_matrix()
+    w = np.arange(n)
+    logs = [tab[w % comp.modulus] for comp in g.components for tab in comp.log_tables()]
+    mask = np.gcd(w, n) == 1
     M = g.exponent
     exps = np.array(list(itertools.product(*(range(m) for m in g.orders))), np.int64)
     weights = np.array([M // m for m in g.orders], np.int64)

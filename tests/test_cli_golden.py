@@ -26,6 +26,13 @@ verify_imprimitive_findings.sha256 is the sha256 of the findings CSV that
 `verify --suite imprimitive --out` wrote there (143,424 rows); the
 acceptance tests compare them with their fixtures' runs, and the "Verify
 suites" step of .github/workflows/tier1.yml diffs and checks them too.
+verify_characters.txt, gauss_255255_vanishing.txt and
+gauss_255255_reduced.txt are what commit f690dea printed for
+`verify --suite characters` and for two characters mod 255255 =
+3*5*7*11*13*17, six components, none of them all of n: one
+of conductor 273 on the vanishing path, one of conductor 17 on the
+reduced path; the "Verify suites" and "Console script" steps of
+.github/workflows/tier1.yml diff them too.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.
@@ -73,10 +80,13 @@ def _commands():
     ):
         yield f"gauss_{name}", ["gauss", "--n", str(n), "--char", str(char), "--k", str(k),
                                 "--power", str(power)]
+    yield "gauss_255255_vanishing", ["gauss", "--n", "255255", "--char", "50000", "--k", "3"]
+    yield "gauss_255255_reduced", ["gauss", "--n", "255255", "--char", "5", "--k", "30030"]
     yield "cancel_9", ["cancel", "--n", "9", "--alpha", "2", "--b", "7", "--k", "1"]
     yield "cancel_1024", ["cancel", "--n", "1024", "--alpha", "2", "--b", "9", "--k", "3"]
     yield "verify_trend", ["verify", "--suite", "trend"]
     yield "verify_figure1", ["verify", "--suite", "figure1"]
+    yield "verify_characters", ["verify", "--suite", "characters"]
 
 
 COMMANDS = dict(_commands())

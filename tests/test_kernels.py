@@ -74,6 +74,12 @@ class TestPhaseSums:
             _check_bits(ws, n, range(1, 2 * n + 1) if n < 256 else range(1, 17))
             _check_bits(ws, n, _mixed_ks(n))
 
+    def test_root_table_is_the_full_expression_bitwise(self):
+        """Built in place, the table keeps the bits of the one-line build."""
+        for n in [*range(1, 300), 2411, 20007, 1_056_331]:
+            want = np.exp(2j * np.pi * np.arange(n) / n)
+            assert expsums._root_table.__wrapped__(n).tobytes() == want.tobytes(), n
+
     def test_empty_residues(self, monkeypatch):
         """No root table is built for an empty set, directly or through
         an empty solution set of the cancellation sum."""
