@@ -1,19 +1,23 @@
 """Batch residue classification for odd n < 2**31 and the modular kernels
 it shares.
 
-Membership has one writer: `nonwitness_mask` marks the multiples of each
-prime of n and the strong liars that `liar_sets` builds instead of testing
-for them (Rabin 1980; Monier 1980).  Each unit group mod p**e || n is
-cyclic with generator g, and there the level-t set {x : x**(d * 2**t) = 1}
-is the subgroup of order gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n
-is a d-th root of unity exactly when every component lies at level 0, and
-reaches -1 at stage j exactly when every component lies at level j + 1 but
-not at level j: the odd powers of the level-(j + 1) generator.  Such units
-exist only for j < min v2(p_i - 1).  Both sets are CRT products of
-per-component power tables, so the cost is O(n) byte writes plus the size
-of the liar set.  Every statistic reads that mask; the class codes and
-stages of `witness.ResidueScan` are a view of the mask and the sets,
-checked by the partition suite and read by the tests and perfbench.
+The non-witnesses are the multiples of each prime of n and the strong
+liars that `liar_sets` builds instead of testing for them (Rabin 1980;
+Monier 1980).  `nonwitness_mask` marks them in an n-byte mask;
+`nonwitness_array` sorts them into an array of their size m alone, which
+`witness.ResidueScan` reads when Monier's counts make m small.  Each
+unit group mod p**e || n is cyclic with generator g, and there the level-t
+set {x : x**(d * 2**t) = 1} is the subgroup of order
+gcd(p - 1, d) * 2**min(t, v2(p - 1)).  A unit of n is a d-th root of unity
+exactly when every component lies at level 0, and reaches -1 at stage j
+exactly when every component lies at level j + 1 but not at level j: the
+odd powers of the level-(j + 1) generator.  Such units exist only for
+j < min v2(p_i - 1).  Both sets are CRT products of per-component power
+tables, so the cost is the size of the liar set plus O(n) byte writes for
+the mask or O(m log m) for the sorted array.  The
+witnesses and the class codes and stages of `witness.ResidueScan` are a
+view of the mask and the sets, checked by the partition suite and read by
+the tests and perfbench.
 
 `scan_numpy` is the independent pow route that the tests compare it with:
 w**d mod n for every w by blocked, vectorized square-and-multiply, then the
@@ -27,8 +31,9 @@ minus-one predicate, which must always be zero.
 Shared kernels, each defined once here:
 
 * `liar_sets`: the liar subgroups as residue arrays, the only builder of
-  them (`witness.classify_all`, whose sets `nonwitness_mask` writes, and
-  the cancel-ratio suite's power-residue sets);
+  them (`witness.ResidueScan`, whose sets `nonwitness_mask` and
+  `nonwitness_array` read, and the cancel-ratio suite's power-residue
+  sets);
 * `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
   the partition suite's batched pow re-check of the stored codes);
 * `_powers`: the power table of one generator (the liar subgroups here,
@@ -138,15 +143,30 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
 
 def nonwitness_mask(n: int, primes, sets) -> np.ndarray:
     """True at the non-witnesses of [0, n): the multiples of each prime of
-    n and the liars in `sets` (from `liar_sets`).  The only writer of
-    membership; `witness.ResidueScan` reads the witnesses, the
-    non-witnesses and the class codes from it."""
+    n and the liars in `sets` (from `liar_sets`).  `witness.ResidueScan`
+    reads the witnesses and the class codes from it, and the non-witnesses
+    when they are many."""
     mask = np.zeros(n, bool)
     for p in primes:
         mask[::p] = True
     for idx in sets:
         mask[idx] = True
     return mask
+
+
+def nonwitness_array(n: int, primes, sets) -> np.ndarray:
+    """The non-witnesses of [0, n), ascending int64, with no n-sized array:
+    the multiples of each prime of n and the liars in `sets` (from
+    `liar_sets`), sorted, with equal neighbours dropped.  The liar sets are
+    disjoint units, so only multiples of two primes repeat.  Equals
+    np.flatnonzero(nonwitness_mask(n, primes, sets)); the sort costs
+    O(m log m) in their number m = n - phi(n) + #liars."""
+    out = np.concatenate([np.arange(0, n, p, dtype=np.int64) for p in primes] + list(sets))
+    out.sort()  # in place, the default kind: a stable sort took 8x as long
+    keep = np.empty(len(out), bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:

@@ -155,7 +155,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
     partition: for every odd n in [3, n_max] the liar sets of
-    `classify_all`, the non-witness mask that every statistic reads and
+    `classify_all`, the non-witness mask the witness lists come from and
     the class codes and stages viewed from them are the true partition of
     [0, n).  `_partition_ok` checks them against Monier's closed form from
     the scan's own factorization (also the source of its counts); a

@@ -46,6 +46,22 @@ class TestBasicCommands:
         assert code == 1
         assert "n is prime: witness set empty" in capsys.readouterr().err
 
+    def test_statistics_of_a_prime_near_2_31_exit_1(self, capsys, monkeypatch):
+        """Refused from Monier's counts, not by a 16 GiB liar allocation."""
+        from mrwitness import _scan
+
+        def fail(*args):
+            raise AssertionError("the liar sets were built")
+
+        monkeypatch.setattr(_scan, "liar_sets", fail)
+        n = "2147483629"
+        for argv in (["histogram", "--n", n, "--bins", "10", "--out", "-"],
+                     ["interval", "--n", n, "--a", "0.1", "--b", "0.2"],
+                     ["weyl", "--n", n, "--k", "1"]):
+            code, out = run_cli(*argv)
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == f"error: {n} has no witnesses\n"
+
     def test_bounds(self):
         code, out = run_cli("bounds", "--n", "9")
         assert code == 0

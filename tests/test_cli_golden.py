@@ -33,6 +33,15 @@ gauss_255255_reduced.txt are what commit f690dea printed for
 of conductor 273 on the vanishing path, one of conductor 17 on the
 reduced path; the "Verify suites" and "Console script" steps of
 .github/workflows/tier1.yml diff them too.
+histogram_2074757.txt, interval_2074757.txt, scan_sparse.txt,
+interval_2146654199.txt and verify_bach.txt are what commit b10aa0e
+printed, from its n-byte non-witness mask, for moduli whose few
+non-witnesses are now sorted from the factorization: 2074757 (3,083 of
+them), the scan of 2074757, 1000001 and 10001, and 2146654199 =
+46327 * 46337 (92,665 of them; commit b10aa0e took 2 GB for it).
+`verify --suite bach` is not among the commands here, because it takes
+3 s; the "Verify suites" step of .github/workflows/tier1.yml diffs it,
+and the "Console script" step diffs the others.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.
@@ -55,6 +64,7 @@ GOLDEN = Path(__file__).parent / "data" / "cli_stdout"
 # 1056331 = 727 * 1453, the paper's histogram modulus.
 MODULI = (200005, 1056331)
 SCAN_CONFIG = "n_values = 200005, 1056331\nk_max = 10\nbins = 1000\n"
+SPARSE_SCAN_CONFIG = "n_values = 2074757, 1000001, 10001\nk_max = 10\nbins = 1000\n"
 
 
 def _commands():
@@ -66,6 +76,11 @@ def _commands():
         yield f"weyl_{n}", ["weyl", "--n", n, "--k", "10"]
         yield f"sums_{n}", ["sums", "--n", n, "--k", "3"]
     yield "scan", ["scan", "--config", SCAN_CONFIG]
+    # few non-witnesses: n / m is 673 at 2074757, 73 at 1000001, 43 at 10001
+    yield "histogram_2074757", ["histogram", "--n", "2074757", "--bins", "1000", "--out", "-"]
+    yield "interval_2074757", ["interval", "--n", "2074757", "--a", "0.125", "--b", "0.6"]
+    yield "scan_sparse", ["scan", "--config", SPARSE_SCAN_CONFIG]
+    yield "interval_2146654199", ["interval", "--n", "2146654199", "--a", "0.125", "--b", "0.6"]
     yield "ramanujan_200005", ["ramanujan", "--n", "200005", "--k", "3"]
     yield "ramanujan_1056331", ["ramanujan", "--n", "1056331", "--k", "7"]
     # 6561 = 3**8 on all three paths (chi**3 has conductor 2187 = 6561/3);

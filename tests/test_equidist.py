@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrwitness import equidist, expsums
+from mrwitness import _scan, equidist, expsums
 from mrwitness.errors import DomainError
 from mrwitness.witness import classify_all
 
@@ -91,6 +91,20 @@ class TestIntervalFraction:
         assert 0.0 <= fraction <= 1.0
         dstar = equidist.star_discrepancy(n)
         assert deviation <= 2 * dstar + 1e-9
+
+
+    def test_sparse_interval_near_2_31_in_kilobytes(self):
+        """2146654199 = 46327 * 46337 has 92,665 non-witnesses: the sorted
+        array of them, not a 2 GB mask."""
+        n = 2146654199
+        tracemalloc.start()
+        try:
+            fraction, _ = equidist.interval_fraction(n, 0.125, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert fraction == pytest.approx(0.475, abs=1e-9)
 
 
 class TestStarDiscrepancy:
@@ -210,16 +224,26 @@ class TestScan:
         (row,) = equidist.scan([15], bins=2**62 // 15 + 1)  # not a 2**62-bin allocation
         assert row.error == "n * bin_count too large for exact integer binning"
 
-    def test_empty_witness_set_has_one_message(self):
-        for call in (
-            lambda: equidist.histogram(13, 4),
-            lambda: equidist.interval_fraction(13, 0.0, 1.0),
-            lambda: equidist.star_discrepancy(13),
-            lambda: equidist.weyl_battery(13, 3),
-        ):
-            with pytest.raises(DomainError, match="^13 has no witnesses$"):
-                call()
-        assert equidist.scan([13])[0].error == "13 has no witnesses"
+    def test_empty_witness_set_has_one_message(self, monkeypatch):
+        """A prime is refused from Monier's counts before its n - 1 liars
+        are built: 16 GiB of them at 2147483629, the largest prime below
+        2**31."""
+
+        def fail(*args):
+            raise AssertionError("the liar sets were built")
+
+        monkeypatch.setattr(_scan, "liar_sets", fail)
+        for n in (13, 2147483629):
+            for call in (
+                lambda: equidist.histogram(n, 4),
+                lambda: equidist.interval_fraction(n, 0.0, 1.0),
+                lambda: equidist.star_discrepancy(n),
+                lambda: equidist.weyl_battery(n, 3),
+                lambda: equidist.scan_row(n, 3, 10),
+            ):
+                with pytest.raises(DomainError, match=f"^{n} has no witnesses$"):
+                    call()
+            assert equidist.scan([n])[0].error == f"{n} has no witnesses"
 
     def test_least_odd_composite(self):
         assert equidist.least_odd_composite_at_least(3) == 9

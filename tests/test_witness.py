@@ -93,7 +93,9 @@ class TestEnumerate:
         assert np.count_nonzero(scan.mask) == scan.counts.non_coprime + scan.counts.strong_liars
 
     def test_prime_has_no_witnesses(self):
-        assert witness.classify_all(7).counts.witness == 0
+        scan = witness.classify_all(7)
+        assert scan.counts.witness == 0
+        assert sorted(np.concatenate(scan.liars).tolist()) == [1, 2, 3, 4, 5, 6]
 
     def test_full_scan_refused_from_2_31(self):
         with pytest.raises(DomainError, match="2\\*\\*31"):
@@ -167,10 +169,13 @@ class TestEnumerate:
 
 
 class TestWitnessArrays:
-    """`witnesses` and `nonwitnesses` come from the membership mask, of
-    which the codes are a view; the pow route is the independent check.
-    Below 10**5 the partition suite's acceptance run checks the mask of
-    every odd n."""
+    """`witnesses` come from the membership mask, of which the codes are a
+    view; `nonwitnesses` come from the sorted array of
+    `_scan.nonwitness_array` when Monier's counts give at most
+    n / _SPARSE_RATIO of them, and from the mask otherwise.  The pow route
+    is the independent check of both; below 10**5 the partition suite's
+    acceptance run checks the mask of every odd n, and the sorted array
+    equals the mask's non-witnesses at every odd composite n <= 10**4."""
 
     def test_mask_sets_equal_the_codes(self):
         """The mask's sets equal the codes of the pow route."""
@@ -181,6 +186,55 @@ class TestWitnessArrays:
             is_witness = codes == _scan.CODE_WITNESS
             assert np.array_equal(scan.witnesses, np.flatnonzero(is_witness)), n
             assert np.array_equal(scan.nonwitnesses, np.flatnonzero(~is_witness)), n
+
+    def test_sorted_nonwitnesses_equal_the_mask(self):
+        """Both builders called directly, whichever route the rule picks:
+        n / m runs from 3.2 (200005) through 4.0 (1056331, 263,538 liars)
+        and 73 (1000001) to 673 (2074757)."""
+        composites = [n for n in range(9, 10**4 + 1, 2) if not is_prime(n)]
+        for n in composites + [200005, 1056331, 2074757, 1000001, 3**13]:
+            fac = factorize(n)
+            sets = _scan.liar_sets(n, witness.mr_decompose(n).d, fac.factors)
+            got = _scan.nonwitness_array(n, fac.primes, sets)
+            assert got.dtype == np.int64, n
+            assert np.array_equal(got, np.flatnonzero(_scan.nonwitness_mask(n, fac.primes, sets))), n
+
+    def test_sorted_route_exactly_when_sixteen_times_as_few(self, monkeypatch):
+        calls = []
+        for name in ("nonwitness_array", "nonwitness_mask"):
+            original = getattr(_scan, name)
+
+            def spy(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(_scan, name, spy)
+        assert witness._SPARSE_RATIO == 16
+        picked = set()
+        # 1000259 = 13 * 76943 and 1000127 = 17 * 58831 straddle n / m = 16
+        for n in list(range(9, 3001, 2)) + [1000259, 1000127, 200005, 2074757]:
+            if is_prime(n):
+                continue
+            calls.clear()
+            m = len(witness.classify_all(n).nonwitnesses)
+            sparse = 16 * m <= n
+            picked.add(sparse)
+            assert calls == ["nonwitness_array" if sparse else "nonwitness_mask"], n
+        assert picked == {True, False}
+
+    def test_sparse_nonwitnesses_never_build_the_mask(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the n-byte mask was built")
+
+        monkeypatch.setattr(_scan, "nonwitness_mask", fail)
+        n = 2074757
+        nonwitnesses = witness.classify_all(n).nonwitnesses
+        assert len(nonwitnesses) == 3083 == n - witness.classify_all(n).counts.witness
+        assert sum(equidist.histogram(n, 1000).counts) == n - 3083
+        equidist.interval_fraction(n, 0.125, 0.6)
+        assert 0 < equidist.star_discrepancy(n) < 1
+        with pytest.raises(AssertionError, match="mask was built"):
+            witness.classify_all(n).witnesses
 
     def test_arrays_built_once_on_first_read(self, monkeypatch):
         calls = []
