@@ -14,14 +14,13 @@ exactly when every component lies at level j + 1 but not at level j: the
 odd powers of the level-(j + 1) generator.  Such units exist only for
 j < min v2(p_i - 1).  Both sets are CRT products of per-component power
 tables, so the cost is the size of the liar set plus O(n) byte writes for
-the mask or O(m log m) for the sorted array.  The
-witnesses and the class codes and stages of `witness.ResidueScan` are a
-view of the mask and the sets, checked by the partition suite and read by
-the tests and perfbench.
+the mask or O(m log m) for the sorted array.  The witnesses of
+`witness.ResidueScan` are read off the mask.
 
-`scan_numpy` is the independent pow route that the tests compare it with:
-w**d mod n for every w by blocked, vectorized square-and-multiply, then the
-squaring stages.
+`scan_numpy` is the independent pow route: w**d mod n for every w by
+blocked, vectorized square-and-multiply, then the squaring stages.  It
+gives the class codes and stages of `witness.ResidueScan`, which only the
+tests and perfbench read to check the liar sets against it.
 
 Class codes: 0 witness, 1 shares a factor with n, 2 d-th root of unity,
 3 reaches -1 at some squaring stage.  The pow route also reports
@@ -35,7 +34,8 @@ Shared kernels, each defined once here:
   `nonwitness_array` read, and the cancel-ratio suite's power-residue
   sets);
 * `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
-  the partition suite's batched pow re-check of the stored codes);
+  the partition suite's batched pow re-check of each liar against the set
+  it came from);
 * `_powers`: the power table of one generator (the liar subgroups here,
   the discrete-log tables of `characters`, which invert it);
 * `outer_sum`: one value per index vector, summed over components (the
@@ -144,8 +144,8 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
 def nonwitness_mask(n: int, primes, sets) -> np.ndarray:
     """True at the non-witnesses of [0, n): the multiples of each prime of
     n and the liars in `sets` (from `liar_sets`).  `witness.ResidueScan`
-    reads the witnesses and the class codes from it, and the non-witnesses
-    when they are many."""
+    reads the witnesses from it, and the non-witnesses when they are
+    many."""
     mask = np.zeros(n, bool)
     for p in primes:
         mask[::p] = True

@@ -12,12 +12,12 @@ from contextvars import ContextVar
 _flag: ContextVar[int | None] = ContextVar("mrwitness_threads", default=None)
 
 
-def thread_count(override: int | None = None) -> int:
-    """override when set (nonzero), else the --threads flag when set, else
-    WITNESS_THREADS when a positive integer, else the CPU count; at least 1."""
-    override = override or _flag.get()
-    if override:
-        return max(1, override)
+def thread_count() -> int:
+    """The --threads flag when set (nonzero), else WITNESS_THREADS when a
+    positive integer, else the CPU count; at least 1."""
+    flag = _flag.get()
+    if flag:
+        return max(1, flag)
     env = os.environ.get("WITNESS_THREADS", "")
     if env.isdigit() and int(env) > 0:
         return int(env)

@@ -219,11 +219,10 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     )
 
 
-def scan(n_values, k_max: int = 10, bins: int | None = None,
-         max_workers: int | None = None) -> list[ScanRow]:
+def scan(n_values, k_max: int = 10, bins: int | None = None) -> list[ScanRow]:
     """One ScanRow per requested n, in input order.
 
-    Rows run on a pool of `thread_count(max_workers)` threads; one worker
+    Rows run on a pool of `thread_count()` threads; one worker
     runs them serially, by the same path.  Per-n domain errors become rows
     with the `error` field set; the scan continues.  Any other error
     propagates once every row has run, the first in input order.
@@ -233,7 +232,7 @@ def scan(n_values, k_max: int = 10, bins: int | None = None,
     from .concurrency import thread_count
 
     n_values = list(n_values)
-    workers = thread_count(max_workers)
+    workers = thread_count()
     rows: list[ScanRow | None] = [None] * len(n_values)
 
     def run(i: int, n: int) -> None:

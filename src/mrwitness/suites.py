@@ -19,7 +19,7 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from . import equidist, expsums
-from ._scan import CODE_DTH_ROOT, CODE_NON_COPRIME, liar_codes, liar_sets
+from ._scan import CODE_DTH_ROOT, CODE_MINUS_ONE, liar_codes, liar_sets
 from .arith import (
     divisors,
     euler_phi,
@@ -90,45 +90,45 @@ PARTITION_PRIME_SAMPLE = 64
 _RECHECK_BATCH = 1 << 18
 
 
-def _partition_ok(scan, liars: np.ndarray) -> bool:
-    """The partition facts of one n on the liar sets of `classify_all`, the
-    mask built from them and the class codes and stages viewed from both
-    (liars: the sets concatenated).  Each set has its class or stage size
-    in Monier's closed form; the codes are at least CODE_DTH_ROOT on as
-    many residues as the sets hold, so no residue is in two sets or twice
-    in one, and CODE_NON_COPRIME on every multiple of a prime of n, so no
-    liar is one.  The mask marks the liars and those multiples, and
-    n - phi(n) + #liars residues in all, so it is exactly those; 1 is a
-    d-th root, n - 1 is at stage 0."""
-    n, codes, mask = scan.n, scan.codes, scan.mask
+def _partition_ok(scan, liars: np.ndarray, marks: np.ndarray) -> bool:
+    """The partition facts of one n on the liar sets of `classify_all` and
+    the mask built from them (liars: the sets concatenated; marks: a fresh
+    n-byte array, 1 + the index of the set holding each residue, 0
+    elsewhere).  Each set has its class or stage size in Monier's closed
+    form; the marks fall on as many residues as the sets hold, so no
+    residue is in two sets or twice in one, and on no multiple of a prime
+    of n, so no liar is one.  The mask marks the liars and those
+    multiples, and n - phi(n) + #liars residues in all, so it is exactly
+    those."""
+    mask = scan.mask
     return (
         [len(x) for x in scan.liars] == [scan.counts.dth_root, *scan.per_stage]
-        and np.count_nonzero(codes >= CODE_DTH_ROOT) == len(liars)
+        and np.count_nonzero(marks) == len(liars)
         and mask[liars].all()
-        and all(mask[::p].all() and (codes[::p] == CODE_NON_COPRIME).all() for p in scan.fac.primes)
+        and all(mask[::p].all() and not marks[::p].any() for p in scan.fac.primes)
         and np.count_nonzero(mask) == scan.counts.non_coprime + len(liars)
-        and codes[1] == CODE_DTH_ROOT
-        and scan.stages[n - 1] == 0
     )
 
 
-def _recheck_row(scan, liars: np.ndarray, composite: bool, rng) -> tuple:
+def _recheck_row(scan, liars: np.ndarray, marks: np.ndarray, composite: bool, rng) -> tuple:
     """The `_pow_recheck` row of one n: every liar of a composite, or 1,
-    n - 1 and seeded others of a prime, each with its stored code and
-    stage; liars: the sets concatenated."""
-    units = liars
-    if not composite and len(liars) > PARTITION_PRIME_SAMPLE:
-        picked = rng.choice(len(liars), PARTITION_PRIME_SAMPLE - 2, replace=False)
-        units = np.concatenate([[1, scan.n - 1], liars[picked]])
-    return scan.n, scan.d, scan.s, units, scan.codes[units], scan.stages[units]
+    n - 1 and seeded others of a prime, each with the index of the set it
+    came from (-1 for none); liars: the sets concatenated."""
+    if composite or len(liars) <= PARTITION_PRIME_SAMPLE:
+        sizes = [len(x) for x in scan.liars]
+        return scan.n, scan.d, scan.s, liars, np.repeat(np.arange(len(sizes), dtype=np.int8), sizes)
+    picked = rng.choice(len(liars), PARTITION_PRIME_SAMPLE - 2, replace=False)
+    units = np.concatenate([[1, scan.n - 1], liars[picked]])
+    return scan.n, scan.d, scan.s, units, marks[units] - 1
 
 
 def _pow_recheck(batch: list[tuple]) -> set[int]:
-    """Moduli whose stored codes or stages disagree with the pow route.
+    """Moduli where the pow route puts a liar in another class or stage
+    than the set it came from.
 
-    batch: (n, d, s, units, codes, stages) rows; all rows are evaluated in
-    one vectorized square-and-multiply with per-element modulus, so many
-    small moduli cost one pass.
+    batch: (n, d, s, units, labels) rows, labels as in `_recheck_row`;
+    all rows are evaluated in one vectorized square-and-multiply with
+    per-element modulus, so many small moduli cost one pass.
     """
     if not batch:
         return set()
@@ -145,9 +145,8 @@ def _pow_recheck(batch: list[tuple]) -> set[int]:
         base = base * base % n
         e >>= 1
     codes, stages = liar_codes(x, n, s)
-    bad = (codes != np.concatenate([row[4] for row in batch])) | (
-        stages != np.concatenate([row[5] for row in batch])
-    )
+    labels = np.concatenate([row[4] for row in batch])
+    bad = (codes != np.where(labels == 0, CODE_DTH_ROOT, CODE_MINUS_ONE)) | (stages != labels - 1)
     return set(n[bad].tolist())
 
 
@@ -155,17 +154,16 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
     partition: for every odd n in [3, n_max] the liar sets of
-    `classify_all`, the non-witness mask the witness lists come from and
-    the class codes and stages viewed from them are the true partition of
-    [0, n).  `_partition_ok` checks them against Monier's closed form from
-    the scan's own factorization (also the source of its counts); a
-    vectorized pow re-check confirms the stored code and stage of every
-    liar of a composite, or of 1, n - 1 and a seeded sample of at most 64
-    liars of a prime (a full re-check would be the whole pow scan).  The
-    view writes the class and stage of each set at its residues, so a
-    subset of the true set with the true size is the true set, each set is
-    its class, and the mask leaves the witnesses exact; odd primes have
-    none.  Hard.
+    `classify_all` and the non-witness mask the witness lists come from
+    are the true partition of [0, n).  `_partition_ok` checks them against
+    Monier's closed form from the scan's own factorization (also the
+    source of its counts) and against a fresh array of set marks; a
+    vectorized pow re-check confirms that every liar of a composite, or
+    1, n - 1 and a seeded sample of at most 64 liars of a prime (a full
+    re-check would be the whole pow scan), has the class and stage of the
+    set it came from.  Distinct units of the true class or stage, as many
+    as the true set holds, are the true set, and the mask then leaves the
+    witnesses exact; odd primes have none.  Hard.
 
     rabin: for every odd composite n the strong liars number at most
     (n-1)/4, with equality exactly at n = 9.  Hard.  The coprime-witness
@@ -186,10 +184,13 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
         c = scan.counts
         checked += 1
         liars = np.concatenate(scan.liars)
-        if not _partition_ok(scan, liars):
+        marks = np.zeros(n, np.int8)  # set 0: d-th roots; set j + 1: stage j
+        for label, idx in enumerate(scan.liars, 1):
+            marks[idx] = label
+        if not _partition_ok(scan, liars, marks):
             failed.add(n)
         composite = scan.fac.factors != ((n, 1),)
-        batch.append(_recheck_row(scan, liars, composite, rng))
+        batch.append(_recheck_row(scan, liars, marks, composite, rng))
         batch_size += len(batch[-1][3])
         if batch_size >= _RECHECK_BATCH:
             failed |= _pow_recheck(batch)

@@ -20,10 +20,9 @@ refused from its counts before its n - 1 liars exist.  The witness
 statistics read only `witnesses` and `nonwitnesses`.  The non-witnesses
 come from a sorted array built from the factorization and the liar sets
 when Monier's counts say they are few, and from one bool mask otherwise;
-the witnesses and the per-residue `codes` and `stages` always come from
-that mask, and the codes and stages, a view of the mask and the liar
-sets, are checked by the partition suite and read by the tests and
-perfbench.
+the witnesses always come from that mask.  The per-residue `codes` and
+`stages` come from the independent pow route, `_scan.scan_numpy`, and
+only the tests and perfbench read them.
 """
 
 from __future__ import annotations
@@ -151,11 +150,11 @@ class ResidueScan:
     it.  `nonwitnesses`, ascending, are the residues inside it: from
     `_scan.nonwitness_array`, with no n-sized array, when Monier's counts
     give at most n / _SPARSE_RATIO of them, else read off the mask.  The
-    per-residue `codes` (the integer codes of `_scan`: 1 wherever the mask
-    is set, 2 and 3 on the liar sets) and `stages` (the index of the stage
-    set holding a code-3 residue, -1 elsewhere) are a view of the mask and
-    the liar sets, checked by the partition suite and read by the tests
-    and perfbench.
+    per-residue `codes` (the integer codes of `_scan`) and `stages` (the
+    least stage reaching -1, else -1) are the first two outputs of the pow
+    route `_scan.scan_numpy`, which tests every residue by its pow
+    conditions and reads no liar set; only the tests and perfbench read
+    them.
     """
 
     n: int
@@ -186,26 +185,24 @@ class ResidueScan:
         return np.flatnonzero(self.mask)
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        codes = self.mask.astype(np.uint8)  # CODE_NON_COPRIME on every non-witness
-        codes[self.liars[0]] = _scan.CODE_DTH_ROOT
-        for idx in self.liars[1:]:
-            codes[idx] = _scan.CODE_MINUS_ONE
-        return codes
+    def _pow_route(self) -> tuple[np.ndarray, np.ndarray]:
+        return _scan.scan_numpy(self.n, self.d, self.s, self.fac.primes)[:2]
 
-    @cached_property
+    @property
+    def codes(self) -> np.ndarray:
+        return self._pow_route[0]
+
+    @property
     def stages(self) -> np.ndarray:
-        stages = np.full(self.n, -1, np.int8)
-        for j, idx in enumerate(self.liars[1:]):
-            stages[idx] = j
-        return stages
+        return self._pow_route[1]
 
 
 def classify_all(n: int) -> ResidueScan:
     """Classify every residue of [0, n): the class counts of
     `monier_counts`, from which the scan builds the strong liars of
-    `_scan.liar_sets` and its arrays when they are read.  The tests compare
-    the codes with the independent pow route, `_scan.scan_numpy`."""
+    `_scan.liar_sets` and its arrays when they are read.  Its codes and
+    stages come from the pow route instead, so the tests and perfbench
+    check the liar sets against an independent route."""
     dec = mr_decompose(n)
     if n >= _BATCH_LIMIT:
         raise DomainError(f"full-residue scans support n < 2**31, got {n}")

@@ -431,9 +431,12 @@ class TestThreads:
     def test_env_var_fallback(self, monkeypatch):
         monkeypatch.setenv("WITNESS_THREADS", "3")
         assert concurrency.thread_count() == 3
-        assert concurrency.thread_count(0) == 3  # 0 means unset
-        assert concurrency.thread_count(override=5) == 5  # a set count wins over the env var
-        assert concurrency.thread_count(override=-2) == 1
+        for flag, expected in ((0, 3), (5, 5), (-2, 1)):  # 0 means unset; a set flag wins
+            token = concurrency._flag.set(flag)
+            try:
+                assert concurrency.thread_count() == expected
+            finally:
+                concurrency._flag.reset(token)
         monkeypatch.setenv("WITNESS_THREADS", "0")
         assert concurrency.thread_count() == (os.cpu_count() or 1)
 
@@ -453,8 +456,8 @@ class TestThreads:
         workers = []
         original = concurrency.thread_count
 
-        def thread_count(override=None):
-            workers.append(original(override))
+        def thread_count():
+            workers.append(original())
             return workers[-1]
 
         monkeypatch.setattr(concurrency, "thread_count", thread_count)

@@ -178,10 +178,12 @@ class TestScan:
         rows = equidist.scan([9], k_max=2, bins=2)
         assert rows[0].flatness == pytest.approx(0.0)  # counts (2,2), mean 2
 
-    def test_single_thread_matches_parallel(self):
+    def test_single_thread_matches_parallel(self, monkeypatch):
         ns = [9, 15, 21, 25, 27, 33]
-        a = equidist.scan(ns, k_max=4, max_workers=1)
-        b = equidist.scan(ns, k_max=4, max_workers=4)
+        monkeypatch.setenv("WITNESS_THREADS", "1")
+        a = equidist.scan(ns, k_max=4)
+        monkeypatch.setenv("WITNESS_THREADS", "4")
+        b = equidist.scan(ns, k_max=4)
         for ra, rb in zip(a, b):
             assert ra.n == rb.n and ra.witness_count == rb.witness_count
             assert ra.star_discrepancy == rb.star_discrepancy
@@ -197,8 +199,9 @@ class TestScan:
             return original(n, *args)
 
         monkeypatch.setattr(equidist, "scan_row", scan_row)
+        monkeypatch.setenv("WITNESS_THREADS", str(workers))
         with pytest.raises(ArithmeticError, match="row 21 failed"):
-            equidist.scan([9, 15, 21, 25, 27], k_max=2, max_workers=workers)
+            equidist.scan([9, 15, 21, 25, 27], k_max=2)
 
     def test_no_frequencies_is_an_error_row(self):
         (row,) = equidist.scan([15], k_max=0)

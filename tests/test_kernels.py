@@ -120,7 +120,7 @@ class TestBlockWorkers:
 
     @staticmethod
     def _workers(monkeypatch, count):
-        monkeypatch.setattr(concurrency, "thread_count", lambda override=None: count)
+        monkeypatch.setattr(concurrency, "thread_count", lambda: count)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bitwise_for_any_worker_count(self, workers, monkeypatch):

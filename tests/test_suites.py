@@ -1,5 +1,4 @@
 import cmath
-import functools
 import itertools
 import math
 import re
@@ -8,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mrwitness import _scan, characters, expsums, suites, witness
+from mrwitness import _scan, characters, expsums, suites
 from mrwitness.arith import Factorization, euler_phi, factorize, is_prime
 
 
@@ -55,21 +54,6 @@ def _keep_marking(monkeypatch, lost):
             mask[lost[n]] = True
 
     _corrupt_mask(monkeypatch, mark)
-
-
-def _corrupt_view(monkeypatch, name, corrupt):
-    """Pass the `ResidueScan` view `name` (codes or stages) of every n
-    through corrupt(scan, view) when it is first built."""
-    original = getattr(witness.ResidueScan, name).func
-
-    def view(scan):
-        out = original(scan)
-        corrupt(scan, out)
-        return out
-
-    cached = functools.cached_property(view)
-    cached.__set_name__(witness.ResidueScan, name)
-    monkeypatch.setattr(witness.ResidueScan, name, cached)
 
 
 def _composites_with_witnesses(n_max):
@@ -133,9 +117,9 @@ def test_partition_catches_a_mask_missing_a_liar(monkeypatch):
 
 
 def test_partition_catches_1_traded_into_stage_0(monkeypatch):
-    """1 and the first stage-0 residue trade sets: sizes and the mask hold.
-    The check that 1 is a d-th root sees it, and so does the pow re-check
-    of the stored codes, which always takes 1 and n - 1 of a prime."""
+    """1 and the first stage-0 residue trade sets: sizes, marks and the
+    mask hold.  The pow re-check of each liar against the set it came from
+    sees it, and it always takes 1 and n - 1 of a prime."""
 
     def trade(n, sets):
         sets[0][0], sets[1][0] = sets[1][0], sets[0][0]  # 1 leads the CRT order
@@ -190,27 +174,25 @@ def test_partition_catches_a_mask_marking_a_witness(monkeypatch):
     assert not r.ok and r.failures == _composites_with_witnesses(301)
 
 
-def test_partition_catches_a_stage_view_moving_a_liar(monkeypatch):
-    """The stages view moves the least stage-0 residue to stage 1: n - 1
-    itself where it is the only one, which the stage-0 check sees, and
-    otherwise a liar whose stored stage the pow re-check sees in every
-    composite."""
+@pytest.mark.parametrize("recheck", [True, False])
+def test_partition_sees_liars_traded_between_sets_only_by_pow(monkeypatch, recheck):
+    """In a composite, a d-th root other than 1 and a stage-0 liar other
+    than n - 1 trade sets: sizes, marks and the mask all hold, so only the
+    pow re-check of each liar against the set it came from sees it."""
+    traded = set()
 
-    def move(scan, stages):
-        stages[np.flatnonzero(stages == 0)[0]] = 1
+    def trade(n, sets):
+        i = np.flatnonzero(sets[0] != 1)[:1]
+        j = np.flatnonzero(sets[1] != n - 1)[:1]
+        if len(i) and len(j) and not is_prime(n):
+            sets[0][i], sets[1][j] = sets[1][j], sets[0][i]
+            traded.add(n)
 
-    _corrupt_view(monkeypatch, "stages", move)
+    _corrupt_sets(monkeypatch, trade)
+    if not recheck:
+        monkeypatch.setattr(suites, "_pow_recheck", lambda batch: set())
     r = _partition(301)
-    assert not r.ok and r.failures >= _composites_with_witnesses(301)
-
-
-def test_partition_catches_a_code_view_marking_a_liar_as_a_witness(monkeypatch):
-    """The codes view marks n - 1 as a witness; the pow re-check is
-    switched off, so the count of liar codes sees it."""
-    _corrupt_view(monkeypatch, "codes", lambda scan, codes: codes.__setitem__(scan.n - 1, _scan.CODE_WITNESS))
-    monkeypatch.setattr(suites, "_pow_recheck", lambda batch: set())
-    r = _partition(301)
-    assert not r.ok and r.failures == r.checked
+    assert traded and r.failures == (len(traded) if recheck else 0)
 
 
 @pytest.mark.parametrize("n_max", [7, 9])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrwitness import _scan, equidist, expsums, witness
+from mrwitness import _scan, cli, equidist, expsums, witness
 from mrwitness.arith import factorize, is_prime
 from mrwitness.errors import DomainError
 from mrwitness.witness import WitnessClass
@@ -18,6 +18,20 @@ CODE = {
     WitnessClass.DTH_ROOT: _scan.CODE_DTH_ROOT,
     WitnessClass.MINUS_ONE: _scan.CODE_MINUS_ONE,
 }
+
+
+def liar_set_view(scan) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, stages) per residue as the mask and the liar sets of `scan`
+    give them: code 1 on the mask, 2 and 3 on the sets, each stage set at
+    its index.  `scan.codes` and `scan.stages` come from the pow route
+    instead, so this view keeps the sets under test against it."""
+    codes = scan.mask.astype(np.uint8)  # CODE_NON_COPRIME on every non-witness
+    codes[scan.liars[0]] = _scan.CODE_DTH_ROOT
+    stages = np.full(scan.n, -1, np.int8)
+    for j, idx in enumerate(scan.liars[1:]):
+        codes[idx] = _scan.CODE_MINUS_ONE
+        stages[idx] = j
+    return codes, stages
 
 
 def classify_oracle(n: int, w: int) -> tuple[str, int | None]:
@@ -85,10 +99,11 @@ class TestClassify:
 class TestEnumerate:
     def test_mod_9_sets(self):
         scan = witness.classify_all(9)
+        codes, _ = liar_set_view(scan)
         assert list(scan.witnesses) == [2, 4, 5, 7]
-        assert list(np.flatnonzero(scan.codes == _scan.CODE_NON_COPRIME)) == [0, 3, 6]
-        assert list(np.flatnonzero(scan.codes == _scan.CODE_DTH_ROOT)) == [1]
-        assert list(np.flatnonzero(scan.codes == _scan.CODE_MINUS_ONE)) == [8]
+        assert list(np.flatnonzero(codes == _scan.CODE_NON_COPRIME)) == [0, 3, 6]
+        assert list(np.flatnonzero(codes == _scan.CODE_DTH_ROOT)) == [1]
+        assert list(np.flatnonzero(codes == _scan.CODE_MINUS_ONE)) == [8]
         assert scan.counts.total == 9
         assert np.count_nonzero(scan.mask) == scan.counts.non_coprime + scan.counts.strong_liars
 
@@ -128,8 +143,9 @@ class TestEnumerate:
         dec = witness.mr_decompose(n)
         fac = factorize(n)
         codes, stages, _, counts, overlap = _scan.scan_numpy(n, dec.d, dec.s, fac.primes)
-        assert np.array_equal(a.codes, codes)
-        assert np.array_equal(a.stages, stages)
+        view_codes, view_stages = liar_set_view(a)
+        assert np.array_equal(view_codes, codes)
+        assert np.array_equal(view_stages, stages)
         assert a.counts == witness.ClassCounts(*counts.tolist())
         _, per_stage = witness.monier_counts(fac, dec.d, dec.s)
         assert np.bincount(stages[stages >= 0], minlength=len(per_stage)).tolist() == per_stage
@@ -152,25 +168,25 @@ class TestEnumerate:
     @given(odd_n, st.data())
     @settings(max_examples=120, deadline=None)
     def test_batch_matches_scalar(self, n, data):
-        scan = witness.classify_all(n)
+        codes, stages = liar_set_view(witness.classify_all(n))
         w = data.draw(st.integers(min_value=0, max_value=n - 1))
         single = witness.classify(n, w)
-        assert scan.codes[w] == CODE[single.category]
+        assert codes[w] == CODE[single.category]
         if single.category is WitnessClass.MINUS_ONE:
-            assert scan.stages[w] == single.stage
+            assert stages[w] == single.stage
 
     @given(odd_n)
     @settings(max_examples=100, deadline=None)
     def test_structural_memberships(self, n):
-        scan = witness.classify_all(n)
-        assert scan.codes[1] == _scan.CODE_DTH_ROOT
-        assert scan.codes[n - 1] == _scan.CODE_MINUS_ONE
-        assert scan.stages[n - 1] == 0
+        codes, stages = liar_set_view(witness.classify_all(n))
+        assert codes[1] == _scan.CODE_DTH_ROOT
+        assert codes[n - 1] == _scan.CODE_MINUS_ONE
+        assert stages[n - 1] == 0
 
 
 class TestWitnessArrays:
-    """`witnesses` come from the membership mask, of which the codes are a
-    view; `nonwitnesses` come from the sorted array of
+    """`witnesses` come from the membership mask, and the codes and stages
+    from the pow route; `nonwitnesses` come from the sorted array of
     `_scan.nonwitness_array` when Monier's counts give at most
     n / _SPARSE_RATIO of them, and from the mask otherwise.  The pow route
     is the independent check of both; below 10**5 the partition suite's
@@ -252,12 +268,35 @@ class TestWitnessArrays:
         assert scan.codes is scan.codes and scan.stages is scan.stages
         assert calls == [561]
 
-    def test_statistics_never_build_the_codes(self, monkeypatch):
-        def build(scan):
+    def test_codes_are_the_pow_route(self, monkeypatch):
+        """codes and stages are scan_numpy's first two outputs, built once
+        and read through the module attribute, so a patched route shows."""
+        for n in (9, 561, 65537, 200005):
+            scan = witness.classify_all(n)
+            want = _scan.scan_numpy(n, scan.d, scan.s, scan.fac.primes)
+            assert np.array_equal(scan.codes, want[0]) and np.array_equal(scan.stages, want[1])
+        original = _scan.scan_numpy
+        calls = []
+
+        def scan_numpy(*args):
+            calls.append(args[0])
+            codes, stages, *rest = original(*args)
+            codes[2] = _scan.CODE_DTH_ROOT  # 2 is a witness of 561
+            return codes, stages, *rest
+
+        monkeypatch.setattr(_scan, "scan_numpy", scan_numpy)
+        scan = witness.classify_all(561)
+        assert scan.codes[2] == _scan.CODE_DTH_ROOT and scan.stages is scan.stages
+        assert liar_set_view(scan)[0][2] == _scan.CODE_WITNESS
+        assert calls == [561]
+
+    def test_statistics_never_build_the_codes(self, monkeypatch, capsys):
+        """No statistic and no CLI command runs the pow route."""
+
+        def fail(*args):
             raise AssertionError("the class codes were built")
 
-        monkeypatch.setattr(witness.ResidueScan, "codes", property(build))
-        monkeypatch.setattr(witness.ResidueScan, "stages", property(build))
+        monkeypatch.setattr(_scan, "scan_numpy", fail)
         n = 200005
         scan = witness.classify_all(n)
         assert len(scan.witnesses) + len(scan.nonwitnesses) == n
@@ -266,6 +305,13 @@ class TestWitnessArrays:
         assert 0 < equidist.star_discrepancy(n) < 1
         assert len(equidist.weyl_battery(n, 3)) == 3
         assert expsums.decomposition_reports(n, [3])[0].residual_total < 1e-6
+        assert equidist.scan_row(n, 3, 100).error is None
+        for argv in (["witnesses", "--n", "561", "--out", "-"], ["bounds", "--n", "561"],
+                     ["histogram", "--n", "561", "--bins", "4", "--out", "-"],
+                     ["interval", "--n", "561", "--a", "0.1", "--b", "0.6"],
+                     ["weyl", "--n", "561", "--k", "3"], ["sums", "--n", "561", "--k", "3"]):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
         for view in ("codes", "stages"):
             with pytest.raises(AssertionError, match="codes were built"):
                 getattr(scan, view)
