@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
+from .concurrency import ordered_map
 from .errors import DomainError
 from .expsums import MAX_FREQUENCY, _phase_sums
 from .witness import ResidueScan, classify_all
@@ -220,32 +221,21 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
 
 
 def scan(n_values, k_max: int = 10, bins: int | None = None) -> list[ScanRow]:
-    """One ScanRow per requested n, in input order.
+    """One ScanRow per requested n, in input order, the rows run through
+    `concurrency.ordered_map`.
 
-    Rows run on a pool of `thread_count()` threads; one worker
-    runs them serially, by the same path.  Per-n domain errors become rows
-    with the `error` field set; the scan continues.  Any other error
-    propagates once every row has run, the first in input order.
+    Per-n domain errors become rows with the `error` field set; the scan
+    continues.  Any other error propagates, the first in input order: on
+    the pool once every row has run, inline as soon as it is raised.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs about 3 ms
 
-    from .concurrency import thread_count
-
-    n_values = list(n_values)
-    workers = thread_count()
-    rows: list[ScanRow | None] = [None] * len(n_values)
-
-    def run(i: int, n: int) -> None:
+    def run(n: int) -> ScanRow:
         try:
-            rows[i] = scan_row(n, k_max, bins)
+            return scan_row(n, k_max, bins)
         except DomainError as exc:
-            rows[i] = ScanRow(n, 0, 0.0, 0.0, (), 0, 0.0, error=str(exc))
+            return ScanRow(n, 0, 0.0, 0.0, (), 0, 0.0, error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, i, n) for i, n in enumerate(n_values)]
-    for future in futures:
-        future.result()  # re-raise the first row error in input order
-    return rows  # type: ignore[return-value]
+    return ordered_map(run, n_values)
 
 
 def least_odd_composite_at_least(x: int) -> int:

@@ -20,25 +20,25 @@ of at most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.  The blocks are independent, so a call
-from the main thread runs them on `concurrency.thread_count()` workers
-and adds their sums up the tree in the same order: the same bits for any
-worker count.  Calls from other threads run their blocks inline.
+gathered arrays stay block-sized.  The blocks are independent, so they
+run through `concurrency.ordered_map`, on `thread_count()` workers from
+the main thread and inline from any other, and their sums are added up
+the tree in the same order: the same bits for any worker count.
 `gauss_sum_brute` walks the same blocks over the full range [0, n).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
-from .arith import divisors, factorize, mobius
+from .arith import Factorization, factorize
 from .characters import CharacterGroup, DirichletCharacter, character_group
+from .concurrency import ordered_map
 from .errors import DomainError
 from .witness import classify_all
 
@@ -128,47 +128,16 @@ def _pairwise(residues: np.ndarray, leaf):
     return _pairwise(residues[:half], leaf) + _pairwise(residues[half:], leaf)
 
 
-def _settled(leaf, block):
-    """leaf(block) run here, its value or error held in a Future as a pool's
-    would be."""
-    from concurrent.futures import Future
-
-    done = Future()
-    try:
-        done.set_result(leaf(block))
-    except Exception as exc:  # raised again, in block order, by the caller
-        done.set_exception(exc)
-    return done
-
-
 def _pairwise_blocks(residues: np.ndarray, leaf):
-    """`_pairwise(residues, leaf)`, its blocks run on `thread_count()` workers.
+    """`_pairwise(residues, leaf)`, its blocks run through `ordered_map`.
 
     The block sums are added back up the same tree in the same order, so
-    the result is the same bits for any worker count.  A call from the main
-    thread with more than one block runs every W-th block itself and the
-    rest on a pool of W - 1 threads that ends with the call; a call from any
-    other thread (a `scan` row, a pool worker) runs its blocks inline, so
-    pools never nest.  An error is the first in block order, as serially.
+    the result is the same bits for any worker count, and an error is the
+    first in block order, as serially.
     """
-    if len(residues) <= _LEAF:  # no import, no thread count: the cost of one leaf
+    if len(residues) <= _LEAF:  # no thread count, no pool: the cost of one leaf
         return leaf(residues)
-    workers = 1
-    if threading.current_thread() is threading.main_thread():
-        from .concurrency import thread_count
-
-        workers = thread_count()
-    if workers == 1:
-        return _pairwise(residues, leaf)
-    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs about 3 ms
-
-    blocks = _pairwise(residues, lambda block: [block])  # the leaves, in tree order
-    workers = min(workers, len(blocks))
-    with ThreadPoolExecutor(workers - 1) as pool:
-        done = [pool.submit(leaf, block) if i % workers else None for i, block in enumerate(blocks)]
-        for i in range(0, len(blocks), workers):
-            done[i] = _settled(leaf, blocks[i])
-    sums = iter([d.result() for d in done])
+    sums = iter(ordered_map(leaf, _pairwise(residues, lambda block: [block])))
     return _pairwise(residues, lambda block: next(sums))
 
 
@@ -215,9 +184,10 @@ def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
 class RamanujanSum:
     """Closed-form vs brute-force sum of e(k*w/n) over the units mod n.
 
-    closed is the integer sum over s | gcd(n, k) of s * mu(n / s); brute is
-    the term-by-term unit sum; complement negates brute and equals the sum
-    over residues sharing a factor with n whenever n does not divide k.
+    closed is the integer product of c_q(k) over the prime powers q || n
+    (`ramanujan_closed`); brute is the term-by-term unit sum; complement
+    negates brute and equals the sum over residues sharing a factor with n
+    whenever n does not divide k.
     `agrees` reports whether closed and brute differ by less than the
     brute sum's error budget (the closed form is exact and counts none).
     """
@@ -232,17 +202,19 @@ class RamanujanSum:
 
 
 def ramanujan(n: int, ks) -> list[RamanujanSum]:
-    """One RamanujanSum per k of ks, from one unit set (by np.gcd: the
-    closed form reads `factorize`) and one `_phase_sums` call."""
+    """One RamanujanSum per k of ks, from one unit set (by np.gcd), one
+    `_phase_sums` call, and one factorization of n, which every closed
+    form reads."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n >= _BATCH_LIMIT:
         raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
     ks = list(ks)
+    fac = factorize(n)
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)  # [0] at n = 1, where brute is 1
     out = []
     for k, z in zip(ks, _phase_sums(units, ks, n)):
-        closed = ramanujan_closed(n, k)
+        closed = ramanujan_closed(fac, k)
         brute = _csum(z, len(units), n)
         complement = _csum(-z if n > 1 else 0j, n - len(units), n)  # no non-unit at n = 1
         diff = abs(brute.value - closed)
@@ -477,7 +449,7 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
                 class_sums(root_solutions), zip(*map(class_sums, stage_sets)))
     out = []
     for k, s_wit, s_non, s2, stage_sums in per_k:
-        closed = ramanujan_closed(n, k)
+        closed = ramanujan_closed(scan.fac, k)
         s1 = _csum(complex(-closed, 0.0), scan.counts.non_coprime, n)
         z3 = sum((cs.value for cs in stage_sums), 0j)
         s3 = _csum(z3, sum(cs.term_count for cs in stage_sums), n)
@@ -501,7 +473,15 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     return out
 
 
-def ramanujan_closed(n: int, k: int) -> int:
-    """Integer value of the unit sum, sum over s | gcd(n, k) of s * mu(n/s)."""
-    g = math.gcd(n, k)
-    return sum(s * mobius(n // s) for s in divisors(g))
+def ramanujan_closed(fac: Factorization, k: int) -> int:
+    """Integer value of the unit sum c_n(k) of n = fac.n, as the product of
+    c_q(k) over the prime powers q = p**e || n (Ramanujan 1918): 0 when
+    p**(e-1) does not divide k, -p**(e-1) when it does but q does not,
+    and phi(q) when q divides k."""
+    out = 1
+    for p, e in fac.factors:
+        low = p ** (e - 1)
+        if k % low:
+            return 0
+        out *= low * (p - 1) if k % (low * p) == 0 else -low
+    return out

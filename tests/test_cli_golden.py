@@ -42,6 +42,10 @@ them), the scan of 2074757, 1000001 and 10001, and 2146654199 =
 `verify --suite bach` is not among the commands here, because it takes
 3 s; the "Verify suites" step of .github/workflows/tier1.yml diffs it,
 and the "Console script" step diffs the others.
+verify_arith.txt is what commit 91b9a6f printed for `verify --suite
+arith` at its default bounds; it is not among the commands here, because
+that suite takes about 30 s, and the "Verify suites" step of
+.github/workflows/tier1.yml diffs it instead.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.

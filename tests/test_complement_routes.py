@@ -84,7 +84,7 @@ def reports_oracle(n, ks):
     for k in ks:
         s_wit = expsums._csum(phase_oracle(ws, k, n), len(ws), n)
         s_non = expsums._csum(phase_oracle(non, k, n), len(non), n)
-        s1 = expsums._csum(complex(-expsums.ramanujan_closed(n, k), 0.0), scan.counts.non_coprime, n)
+        s1 = expsums._csum(complex(-expsums.ramanujan_closed(scan.fac, k), 0.0), scan.counts.non_coprime, n)
         s2 = expsums._csum(phase_oracle(roots, k, n), len(roots), n)
         stage_sums = tuple(expsums._csum(phase_oracle(t, k, n), len(t), n) for t in stage_sets)
         z3 = sum((cs.value for cs in stage_sums), 0j)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrwitness import _scan, expsums
-from mrwitness.arith import sigma
+from mrwitness.arith import divisors, factorize, mobius, sigma
 from mrwitness.characters import CharacterGroup, character_group
 from mrwitness.errors import DomainError
 from mrwitness.witness import classify_all
@@ -91,6 +91,19 @@ class TestRamanujan:
         ks = [1, 2, 3, 3, 7, -1, 0, n, n + 1, 2 * n - 1, 50]
         assert [repr(r) for r in expsums.ramanujan(n, ks)] == [repr(expsums.ramanujan(n, [k])[0]) for k in ks]
         assert expsums.ramanujan(n, []) == []
+
+    def test_product_formula_matches_divisor_sum(self):
+        """The product over prime powers against sum over s | gcd(n, k) of
+        s * mu(n / s), at every n <= 3000 and k in [-60, 60], 0 included;
+        the divisor sum depends on k only through gcd(n, k)."""
+        for n in range(1, 3001):
+            fac = factorize(n)
+            oracle = {}
+            for k in range(-60, 61):
+                g = math.gcd(n, k)
+                if g not in oracle:
+                    oracle[g] = sum(s * mobius(n // s) for s in divisors(g))
+                assert expsums.ramanujan_closed(fac, k) == oracle[g], (n, k)
 
     def test_refused_past_2_31_before_allocating(self):
         # the unit mask alone would take terabytes

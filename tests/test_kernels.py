@@ -115,8 +115,9 @@ class TestPhaseSumsOracle:
 
 
 class TestBlockWorkers:
-    """The blocks of the pairwise tree on up to three workers: the same
-    bits, the same first error, and no pool outside the main thread."""
+    """`concurrency.ordered_map` and the blocks of the pairwise tree it
+    runs, on up to three workers: the same results in the same order, the
+    same first error, and no pool outside the main thread."""
 
     @staticmethod
     def _workers(monkeypatch, count):
@@ -152,7 +153,7 @@ class TestBlockWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_error_in_block_order(self, workers, monkeypatch):
         """Every block but the first raises; with two or three workers
-        block 1 runs on the pool and later ones on the caller too."""
+        every block runs on the pool, and block 1's error is raised."""
         self._workers(monkeypatch, workers)
 
         def leaf(ws):
@@ -162,6 +163,33 @@ class TestBlockWorkers:
 
         with pytest.raises(ValueError, match=f"^block at {3 * expsums._LEAF // 4}$"):
             expsums._pairwise_blocks(np.arange(3 * expsums._LEAF + 5), leaf)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ordered_map_keeps_item_order(self, workers, monkeypatch):
+        """Results in item order; of several errors the first in item order
+        is raised, and the pool runs every item before raising it."""
+        self._workers(monkeypatch, workers)
+        assert concurrency.ordered_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+        ran = []
+
+        def fn(x):
+            ran.append(x)
+            if x in (2, 4, 5):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="^item 2$"):
+            concurrency.ordered_map(fn, range(7))
+        assert sorted(ran) == (list(range(3)) if workers == 1 else list(range(7)))
+
+    def test_one_item_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        self._workers(monkeypatch, 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert concurrency.ordered_map(str, [5]) == ["5"]
+        assert concurrency.ordered_map(str, []) == []
 
 
 class TestLiarCodes:
