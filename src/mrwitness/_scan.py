@@ -14,8 +14,9 @@ exactly when every component lies at level j + 1 but not at level j: the
 odd powers of the level-(j + 1) generator.  Such units exist only for
 j < min v2(p_i - 1).  Both sets are CRT products of per-component power
 tables, so the cost is the size of the liar set plus O(n) byte writes for
-the mask or O(m log m) for the sorted array.  The witnesses of
-`witness.ResidueScan` are read off the mask.
+the mask or O(m log m) for the sorted array.  `witness.ResidueScan`
+builds its witnesses a block at a time from the sorted non-witnesses,
+never as one list.
 
 `scan_numpy` is the independent pow route: w**d mod n for every w by
 blocked, vectorized square-and-multiply, then the squaring stages.  It
@@ -144,8 +145,7 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
 def nonwitness_mask(n: int, primes, sets) -> np.ndarray:
     """True at the non-witnesses of [0, n): the multiples of each prime of
     n and the liars in `sets` (from `liar_sets`).  `witness.ResidueScan`
-    reads the witnesses from it, and the non-witnesses when they are
-    many."""
+    reads the non-witnesses from it when they are many."""
     mask = np.zeros(n, bool)
     for p in primes:
         mask[::p] = True

@@ -117,8 +117,11 @@ def cmd_witnesses(args) -> int:
         ]
     )
     if scan is not None:
+        count = scan.counts.witness
+        step = expsums._LEAF
+        blocks = (scan.witness_block(lo, min(lo + step, count)) for lo in range(0, count, step))
         with _open_out(args.out) as f:
-            _write_csv(f, ["w"], ([int(w)] for w in scan.witnesses))
+            _write_csv(f, ["w"], ([w] for block in blocks for w in block.tolist()))
     return EXIT_OK
 
 

@@ -77,8 +77,10 @@ def _check_k_max(k_max: int) -> None:
 
 
 def _weyl_magnitudes(scan: ResidueScan, k_max: int) -> list[float]:
-    """|S_k| over the witnesses of scan, for k = 1..k_max."""
-    return [abs(z) for z in _phase_sums(scan.witnesses, range(1, k_max + 1), scan.n)]
+    """|S_k| over the witnesses of scan, for k = 1..k_max, from its
+    witness blocks: no witness list is built."""
+    ks = range(1, k_max + 1)
+    return [abs(z) for z in _phase_sums(scan.witness_block, ks, scan.n, scan.counts.witness)]
 
 
 def histogram(n: int, bin_count: int) -> HistogramReport:
@@ -214,7 +216,7 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
         witness_fraction=count / n,
         star_discrepancy=dstar,
         weyl_ratios=ratios,
-        least_witness=int(full.witnesses[0]),
+        least_witness=int(full.witness_block(0, 1)[0]),
         runtime_ms=ms,
         flatness=flatness,
     )

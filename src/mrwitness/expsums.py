@@ -20,11 +20,16 @@ of at most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.  The blocks are independent, so they
-run through `concurrency.ordered_map`, on `thread_count()` workers from
-the main thread and inline from any other, and their sums are added up
-the tree in the same order: the same bits for any worker count.
-`gauss_sum_brute` walks the same blocks over the full range [0, n).
+gathered arrays stay block-sized.  A block is a range [lo, hi) of ranks
+in the ascending set, and each leaf builds its own residues from a block
+source: a slice of an array, or `ResidueScan.witness_block`, which builds
+the witnesses of those ranks from the sorted non-witnesses, so no
+n-sized witness list exists.  The blocks are independent, so they run
+through `concurrency.ordered_map`, on `thread_count()` workers from the
+main thread and inline from any other, and their sums are added up the
+tree in the same order: the same bits for any worker count.
+`gauss_sum_brute` walks the same blocks over the full range [0, n), each
+leaf building its own range of residues.
 """
 
 from __future__ import annotations
@@ -94,8 +99,10 @@ def budget_ratio(difference, *values):
 
 @lru_cache(maxsize=8)
 def _root_table(n: int) -> np.ndarray:
-    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in place."""
-    z = 2j * np.pi * np.arange(n)
+    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
+    place in the one complex array, with no int64 ramp beside it."""
+    z = np.arange(n, dtype=np.complex128)
+    z *= 2j * np.pi
     z /= n
     return np.exp(z, out=z)
 
@@ -111,9 +118,10 @@ def _check_k(n: int, k: int) -> int:
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
 
 
-def _pairwise(residues: np.ndarray, leaf):
-    """leaf(block) over the blocks of numpy's pairwise-summation tree of
-    len(residues) complex values, added back up the same tree.
+def _pairwise(lo: int, hi: int, leaf):
+    """leaf(lo, hi) over the blocks of numpy's pairwise-summation tree of
+    the hi - lo complex values of ranks [lo, hi), added back up the same
+    tree.
 
     numpy sums c complex values as the sum of its first (c - c % 8) // 2
     and the rest, recursively, down to leaves of at most 64 values that it
@@ -121,29 +129,34 @@ def _pairwise(residues: np.ndarray, leaf):
     values is therefore split where numpy splits it, and a block's own
     `.sum()` is numpy's sum of that node.
     """
-    count = len(residues)
+    count = hi - lo
     if count <= _LEAF:
-        return leaf(residues)
-    half = (count - count % 8) // 2
-    return _pairwise(residues[:half], leaf) + _pairwise(residues[half:], leaf)
+        return leaf(lo, hi)
+    half = lo + (count - count % 8) // 2
+    return _pairwise(lo, half, leaf) + _pairwise(half, hi, leaf)
 
 
-def _pairwise_blocks(residues: np.ndarray, leaf):
-    """`_pairwise(residues, leaf)`, its blocks run through `ordered_map`.
+def _pairwise_blocks(count: int, leaf):
+    """`_pairwise(0, count, leaf)`, its blocks run through `ordered_map`.
 
     The block sums are added back up the same tree in the same order, so
     the result is the same bits for any worker count, and an error is the
     first in block order, as serially.
     """
-    if len(residues) <= _LEAF:  # no thread count, no pool: the cost of one leaf
-        return leaf(residues)
-    sums = iter(ordered_map(leaf, _pairwise(residues, lambda block: [block])))
-    return _pairwise(residues, lambda block: next(sums))
+    if count <= _LEAF:  # no thread count, no pool: the cost of one leaf
+        return leaf(0, count)
+    blocks = _pairwise(0, count, lambda lo, hi: [(lo, hi)])
+    sums = iter(ordered_map(lambda block: leaf(*block), blocks))
+    return _pairwise(0, count, lambda lo, hi: next(sums))
 
 
-def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
+def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]:
     """[sum of e(k*w/n) over the residues w in [0, n) for k in ks], each
     equal bit for bit to the full-array `_root_table(n)[k*w % n].sum()`.
+
+    residues is an array of them, or, with their count, a block source:
+    residues(lo, hi) gives those of ranks [lo, hi) of the ascending set,
+    as `ResidueScan.witness_block` does.
 
     Within a block, the index k*w mod n of a k whose residue mod n is one
     more than the previous k's is carried from it: adding w < n to an
@@ -154,12 +167,19 @@ def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
     indices as `%`.  Each k then gathers the same table entries in the
     same order and sums them on the same tree.
     """
+    if count is None:
+        array, count = residues, len(residues)
+
+        def residues(lo, hi):
+            return array[lo:hi]
+
     krs = [k % n for k in ks]
-    if len(residues) == 0:
+    if count == 0:
         return [0j] * len(krs)
     table = _root_table(n)
 
-    def leaf(ws):
+    def leaf(lo, hi):
+        ws = residues(lo, hi)
         idx = np.empty(len(ws), np.int64)
         scratch = np.empty_like(idx)
         unsigned = idx.view(np.uint64)
@@ -177,7 +197,7 @@ def _phase_sums(residues: np.ndarray, ks, n: int) -> list[complex]:
             prev = kr
         return sums
 
-    return _pairwise_blocks(residues, leaf).tolist()
+    return _pairwise_blocks(count, leaf).tolist()
 
 
 @dataclass(frozen=True)
@@ -225,16 +245,16 @@ def ramanujan(n: int, ks) -> list[RamanujanSum]:
 def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
     """Term-by-term sum of chi(w) * e(k*w/n) over all w in [0, n), in the
     blocks of `_pairwise_blocks`: the bits of the full-array sum, with
-    block-sized temporaries."""
+    block-sized temporaries and no n-sized residue range."""
     n = chi.modulus
     vals = chi.value_table()
     table = _root_table(n)
     kr = k % n
 
-    def leaf(ws):  # consecutive residues: their values are a slice, not a gather
-        return (vals[ws[0]:ws[0] + len(ws)] * table[kr * ws % n]).sum()
+    def leaf(lo, hi):  # the residues of ranks [lo, hi) are lo..hi-1, their values a slice
+        return (vals[lo:hi] * table[kr * np.arange(lo, hi, dtype=np.int64) % n]).sum()
 
-    z = complex(_pairwise_blocks(np.arange(n, dtype=np.int64), leaf))
+    z = complex(_pairwise_blocks(n, leaf))
     return _csum(z, n, n)
 
 
@@ -408,8 +428,9 @@ class DecompositionReport:
 def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     """Reports for several frequencies sharing one classification scan.
 
-    The witness sum is term by term over the witnesses and the non-witness
-    sum over the other residues, both from the scan.  The d-th-root and
+    The witness sum is term by term over the witnesses, in the blocks of
+    `ResidueScan.witness_block`, and the non-witness sum over the other
+    residues, both from the scan.  The d-th-root and
     per-stage sets are solved per prime power q || n instead: w**d mod q
     for every residue of each component, squared once per stage, and the
     sets of n assembled by `_solutions`.  That route shares only the
@@ -441,11 +462,14 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
                 x *= x
                 _reduce(x, q, np.empty_like(x))
 
-    def class_sums(residues):
-        """The sum over the residues for each k, from one kernel call."""
-        return [_csum(z, len(residues), n) for z in _phase_sums(residues, ks, n)]
+    def class_sums(residues, count=None):
+        """The sum over the residues (an array, or a block source of count
+        residues) for each k, from one kernel call."""
+        terms = len(residues) if count is None else count
+        return [_csum(z, terms, n) for z in _phase_sums(residues, ks, n, count)]
 
-    per_k = zip(ks, class_sums(scan.witnesses), class_sums(scan.nonwitnesses),
+    witness_sums = class_sums(scan.witness_block, scan.counts.witness)
+    per_k = zip(ks, witness_sums, class_sums(scan.nonwitnesses),
                 class_sums(root_solutions), zip(*map(class_sums, stage_sets)))
     out = []
     for k, s_wit, s_non, s2, stage_sums in per_k:

@@ -154,8 +154,8 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     """One scan, two verdicts.
 
     partition: for every odd n in [3, n_max] the liar sets of
-    `classify_all` and the non-witness mask the witness lists come from
-    are the true partition of [0, n).  `_partition_ok` checks them against
+    `classify_all` and the non-witness mask built from them are the true
+    partition of [0, n).  `_partition_ok` checks them against
     Monier's closed form from the scan's own factorization (also the
     source of its counts) and against a fresh array of set marks; a
     vectorized pow re-check confirms that every liar of a composite, or
@@ -163,7 +163,7 @@ def suite_partition_rabin(n_max: int = PARTITION_N_MAX) -> list[SuiteResult]:
     re-check would be the whole pow scan), has the class and stage of the
     set it came from.  Distinct units of the true class or stage, as many
     as the true set holds, are the true set, and the mask then leaves the
-    witnesses exact; odd primes have none.  Hard.
+    witnesses, its unmarked residues, exact; odd primes have none.  Hard.
 
     rabin: for every odd composite n the strong liars number at most
     (n-1)/4, with equality exactly at n = 9.  Hard.  The coprime-witness
@@ -267,18 +267,35 @@ def suite_cancellation_additivity(
             SuiteResult("additivity", checked, add_fail, additivity)]
 
 
+def _sigma_of_gcd(fac, k: int) -> int:
+    """sigma(gcd(n, k)) for n = fac.n: the product over p**e || n of
+    1 + p + ... + p**f, f = min(e, v_p(k))."""
+    out = 1
+    for p, e in fac.factors:
+        power = term = 1
+        for _ in range(e):
+            if k % (power * p):
+                break
+            power *= p
+            term += power
+        out *= term
+    return out
+
+
 def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) -> list[SuiteResult]:
     """Closed form vs brute force within the brute sum's error budget (the
     closed form is exact) for all n <= n_max, k <= k_max, plus the
-    divisor-sum envelope |closed| <= sigma(gcd(n, k)).  Hard."""
+    divisor-sum envelope |closed| <= sigma(gcd(n, k)), each sigma from one
+    factorization of n (`_sigma_of_gcd`).  Hard."""
     failures = 0
     checked = 0
     worst = 0.0
     for n in range(1, n_max + 1):
+        fac = factorize(n)
         for r in expsums.ramanujan(n, range(1, k_max + 1)):
             worst = max(worst, expsums.budget_ratio(r.difference, r.brute))
             checked += 1
-            failures += not r.agrees or abs(r.closed) > sigma(math.gcd(n, r.k))
+            failures += not r.agrees or abs(r.closed) > _sigma_of_gcd(fac, r.k)
     summary = (f"unit-sum closed form == brute {_AGREEMENT_RULE} "
                f"(worst residual/budget {worst:.3f}) and |sum| <= sigma(gcd(n, k))")
     return [SuiteResult("ramanujan", checked, failures, summary)]

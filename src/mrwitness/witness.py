@@ -17,10 +17,12 @@ passes ("strong liars").
 factorization and Monier's class counts.  Its `ResidueScan` builds the liar
 sets and each larger array the first time it is read, so a prime is
 refused from its counts before its n - 1 liars exist.  The witness
-statistics read only `witnesses` and `nonwitnesses`.  The non-witnesses
-come from a sorted array built from the factorization and the liar sets
-when Monier's counts say they are few, and from one bool mask otherwise;
-the witnesses always come from that mask.  The per-residue `codes` and
+statistics read only `nonwitnesses` and `witness_block`.  The
+non-witnesses come from a sorted array built from the factorization and
+the liar sets when Monier's counts say they are few, and from one bool
+mask otherwise.  No witness list is built: `witness_block` builds the
+witnesses of a range of ranks from the sorted non-witnesses, so a phase
+sum over them holds one block at a time.  The per-residue `codes` and
 `stages` come from the independent pow route, `_scan.scan_numpy`, and
 only the tests and perfbench read them.
 """
@@ -146,10 +148,11 @@ class ResidueScan:
     minus-one count per stage) come from `monier_counts`, and `liars` holds
     the sets of `_scan.liar_sets`, [d-th roots, stage 0, ...] in CRT order,
     all built from it.  `mask`, True at the non-witnesses, is written by
-    `_scan.nonwitness_mask`; `witnesses` are the ascending residues outside
-    it.  `nonwitnesses`, ascending, are the residues inside it: from
-    `_scan.nonwitness_array`, with no n-sized array, when Monier's counts
-    give at most n / _SPARSE_RATIO of them, else read off the mask.  The
+    `_scan.nonwitness_mask`.  `nonwitnesses`, ascending, are the residues
+    inside it: from `_scan.nonwitness_array`, with no n-sized array, when
+    Monier's counts give at most n / _SPARSE_RATIO of them, else read off
+    the mask.  `witness_block(lo, hi)` gives the witnesses of ranks
+    [lo, hi), ascending, from the non-witnesses alone.  The
     per-residue `codes` (the integer codes of `_scan`) and `stages` (the
     least stage reaching -1, else -1) are the first two outputs of the pow
     route `_scan.scan_numpy`, which tests every residue by its pow
@@ -173,16 +176,36 @@ class ResidueScan:
         return _scan.nonwitness_mask(self.n, self.fac.primes, self.liars)
 
     @cached_property
-    def witnesses(self) -> np.ndarray:
-        return np.flatnonzero(~self.mask)
-
-    @cached_property
     def nonwitnesses(self) -> np.ndarray:
         """The residues of the other three classes, ascending: the few
         that witness-set statistics are computed from."""
         if _SPARSE_RATIO * (self.n - self.counts.witness) <= self.n:
             return _scan.nonwitness_array(self.n, self.fac.primes, self.liars)
         return np.flatnonzero(self.mask)
+
+    @cached_property
+    def _witnesses_below(self) -> np.ndarray:
+        """The number of witnesses below each non-witness, ascending."""
+        nw = self.nonwitnesses
+        return nw - np.arange(len(nw))
+
+    def witness_block(self, lo: int, hi: int) -> np.ndarray:
+        """The witnesses of ranks [lo, hi), ascending int64, for
+        0 <= lo < hi <= counts.witness.
+
+        The witness of rank r is r + c, c the number of non-witnesses below
+        it: those with fewer than r + 1 witnesses below them.  The block
+        is the run from the first witness to the last with the
+        non-witnesses between them cleared, block-sized throughout.
+        """
+        nw, below = self.nonwitnesses, self._witnesses_below
+        c0, c1 = below.searchsorted([lo, hi - 1], "right").tolist()
+        first = lo + c0
+        keep = np.ones(hi - lo + c1 - c0, bool)
+        keep[nw[c0:c1] - first] = False
+        out = np.flatnonzero(keep)
+        out += first
+        return out
 
     @cached_property
     def _pow_route(self) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,12 @@ verify_arith.txt is what commit 91b9a6f printed for `verify --suite
 arith` at its default bounds; it is not among the commands here, because
 that suite takes about 30 s, and the "Verify suites" step of
 .github/workflows/tier1.yml diffs it instead.
+weyl_2074757.txt and sums_2074757.txt are what commit 89fa633 printed
+for `weyl --n 2074757 --k 10` and `sums --n 2074757 --k 3` from its
+witness list: the phase sums over the 2,071,674 witnesses of that
+modulus, in many blocks, that the sorted non-witnesses now give; the
+"Console script" step of .github/workflows/tier1.yml diffs both,
+threaded and with --threads 1.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.
@@ -83,6 +89,8 @@ def _commands():
     # few non-witnesses: n / m is 673 at 2074757, 73 at 1000001, 43 at 10001
     yield "histogram_2074757", ["histogram", "--n", "2074757", "--bins", "1000", "--out", "-"]
     yield "interval_2074757", ["interval", "--n", "2074757", "--a", "0.125", "--b", "0.6"]
+    yield "weyl_2074757", ["weyl", "--n", "2074757", "--k", "10"]
+    yield "sums_2074757", ["sums", "--n", "2074757", "--k", "3"]
     yield "scan_sparse", ["scan", "--config", SPARSE_SCAN_CONFIG]
     yield "interval_2146654199", ["interval", "--n", "2146654199", "--a", "0.125", "--b", "0.6"]
     yield "ramanujan_200005", ["ramanujan", "--n", "200005", "--k", "3"]

@@ -37,19 +37,24 @@ def _odd_composites(max_value):
         lambda n: not is_prime(n))
 
 
+def witness_list(n):
+    """The witnesses of n, ascending, read off the n-byte non-witness mask."""
+    return np.flatnonzero(~classify_all(n).mask)
+
+
 def hist_oracle(n, bins):
-    ws = classify_all(n).witnesses
+    ws = witness_list(n)
     return np.bincount(ws * bins // n, minlength=bins)
 
 
 def interval_oracle(n, a, b):
-    ws = classify_all(n).witnesses
+    ws = witness_list(n)
     fraction = int(np.count_nonzero((ws >= a * n) & (ws <= b * n))) / len(ws)
     return fraction, abs(fraction - (b - a))
 
 
 def dstar_oracle(n):
-    return equidist._star_discrepancy_sorted(classify_all(n).witnesses / n)
+    return equidist._star_discrepancy_sorted(witness_list(n) / n)
 
 
 def solutions_oracle(n, e, b):
@@ -78,7 +83,7 @@ def reports_oracle(n, ks):
         if j + 1 < dec.s:
             x = x * x
             _reduce(x, n, np.empty_like(x))
-    ws = scan.witnesses
+    ws = np.flatnonzero(~scan.mask)
     non = np.nonzero(scan.codes)[0]
     out = []
     for k in ks:

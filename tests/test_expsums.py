@@ -273,7 +273,7 @@ class TestDecompositionReport:
         scan = classify_all(n)
         (rep,) = expsums.decomposition_reports(n, [2])
         assert rep.witness_sum.value == pytest.approx(
-            brute_class_sum(n, 2, scan.witnesses), abs=1e-9
+            brute_class_sum(n, 2, np.flatnonzero(~scan.mask)), abs=1e-9
         )
         assert rep.dth_root_sum.value == pytest.approx(
             brute_class_sum(n, 2, np.flatnonzero(scan.codes == _scan.CODE_DTH_ROOT)), abs=1e-9

@@ -3,13 +3,14 @@
 import concurrent.futures
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrwitness import concurrency, expsums
+from mrwitness import concurrency, equidist, expsums
 from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy
 from mrwitness.arith import is_prime
 from mrwitness.witness import WitnessClass, _minus_one_stage, classify, classify_all, mr_decompose
@@ -43,6 +44,15 @@ class TestPowAll:
         assert got.tolist() == [pow(w, e, n) for w in range(n)]
 
 
+GOLDEN_MODULI = (200005, 1056331, 2074757)  # the weyl and sums goldens
+
+
+def _witness_list(scan):
+    """The oracle: the witnesses read off the n-byte non-witness mask,
+    apart from the block builder of `ResidueScan.witness_block`."""
+    return np.flatnonzero(~scan.mask)
+
+
 def _bits(zs):
     return [(z.real.hex(), z.imag.hex()) for z in zs]
 
@@ -70,13 +80,16 @@ class TestPhaseSums:
         for n in range(9, 2001, 2):
             if is_prime(n):
                 continue
-            ws = classify_all(n).witnesses
+            ws = _witness_list(classify_all(n))
             _check_bits(ws, n, range(1, 2 * n + 1) if n < 256 else range(1, 17))
             _check_bits(ws, n, _mixed_ks(n))
 
     def test_root_table_is_the_full_expression_bitwise(self):
-        """Built in place, the table keeps the bits of the one-line build."""
-        for n in [*range(1, 300), 2411, 20007, 1_056_331]:
+        """Built in place from a complex ramp, the table keeps the bits of
+        the one-line build from an int64 ramp: at every odd n < 3000, small
+        even n, and the moduli of the CLI goldens."""
+        ns = [*range(1, 3000, 2), *range(2, 300, 2), 2411, 20007, 1024, 6561, 255255, *GOLDEN_MODULI]
+        for n in ns:
             want = np.exp(2j * np.pi * np.arange(n) / n)
             assert expsums._root_table.__wrapped__(n).tobytes() == want.tobytes(), n
 
@@ -110,8 +123,80 @@ class TestPhaseSumsOracle:
             self._check(np.sort(rng.choice(n, count, replace=False)), n)
 
     def test_witness_sets(self):
-        for n in (200005, 1056331, 2074757):
-            self._check(classify_all(n).witnesses, n)
+        for n in GOLDEN_MODULI:
+            self._check(_witness_list(classify_all(n)), n)
+
+
+def _blocks(count):
+    """The rank ranges [lo, hi) of the leaves of the pairwise tree of count."""
+    return expsums._pairwise(0, count, lambda lo, hi: [(lo, hi)])
+
+
+class TestWitnessBlocks:
+    """`ResidueScan.witness_block` against the mask oracle, and the phase
+    sums over the blocks against the sums over the oracle's list."""
+
+    @staticmethod
+    def _check_blocks(scan, blocks):
+        want = _witness_list(scan)
+        assert len(want) == scan.counts.witness
+        for lo, hi in blocks:
+            got = scan.witness_block(lo, hi)
+            assert got.dtype == np.int64 and np.array_equal(got, want[lo:hi]), (scan.n, lo, hi)
+
+    def test_small_blocks_at_every_odd_composite(self, monkeypatch):
+        """Leaves of 64 ranks, and the first and last single ranks, at
+        every odd composite n <= 10**4, sparse and dense routes alike."""
+        monkeypatch.setattr(expsums, "_LEAF", 64)
+        for n in range(9, 10**4 + 1, 2):
+            if is_prime(n):
+                continue
+            scan = classify_all(n)
+            count = scan.counts.witness
+            self._check_blocks(scan, _blocks(count) + [(0, 1), (count - 1, count)])
+
+    def test_blocks_at_the_golden_moduli(self):
+        for n in GOLDEN_MODULI:
+            scan = classify_all(n)
+            self._check_blocks(scan, _blocks(scan.counts.witness))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sums_over_blocks_match_the_list_bitwise(self, workers, monkeypatch):
+        monkeypatch.setattr(concurrency, "thread_count", lambda: workers)
+        for n in GOLDEN_MODULI:
+            scan = classify_all(n)
+            ks = _mixed_ks(n)
+            got = expsums._phase_sums(scan.witness_block, ks, n, scan.counts.witness)
+            assert _bits(got) == _bits(expsums._phase_sums(_witness_list(scan), ks, n)), n
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_small_leaves_match_the_list_bitwise(self, workers, monkeypatch):
+        """Many leaves at small n: the tree of 64-rank blocks gives the
+        bits of numpy's full-array sum."""
+        monkeypatch.setattr(concurrency, "thread_count", lambda: workers)
+        monkeypatch.setattr(expsums, "_LEAF", 64)
+        for n in (561, 3825, 9999, 10001):
+            scan = classify_all(n)
+            ks = [1, 2, 3, 7, n - 1]
+            got = expsums._phase_sums(scan.witness_block, ks, n, scan.counts.witness)
+            table = expsums._root_table(n)
+            want = [complex(table[k * _witness_list(scan) % n].sum()) for k in ks]
+            assert _bits(got) == _bits(want), n
+
+    def test_weyl_holds_no_witness_list(self, monkeypatch):
+        """With the root table built, `weyl_battery` at 2074757 on two
+        workers peaks below 6 MiB: 8 B per witness would be 15.8 MiB."""
+        monkeypatch.setattr(concurrency, "thread_count", lambda: 2)
+        n = 2074757
+        expsums._root_table(n)
+        tracemalloc.start()
+        try:
+            rows = equidist.weyl_battery(n, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10
+        assert peak < 6 * 2**20
 
 
 class TestBlockWorkers:
@@ -156,13 +241,13 @@ class TestBlockWorkers:
         every block runs on the pool, and block 1's error is raised."""
         self._workers(monkeypatch, workers)
 
-        def leaf(ws):
-            if ws[0]:
-                raise ValueError(f"block at {ws[0]}")
+        def leaf(lo, hi):
+            if lo:
+                raise ValueError(f"block at {lo}")
             return np.zeros(1, np.complex128)
 
         with pytest.raises(ValueError, match=f"^block at {3 * expsums._LEAF // 4}$"):
-            expsums._pairwise_blocks(np.arange(3 * expsums._LEAF + 5), leaf)
+            expsums._pairwise_blocks(3 * expsums._LEAF + 5, leaf)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_ordered_map_keeps_item_order(self, workers, monkeypatch):

@@ -100,7 +100,7 @@ class TestEnumerate:
     def test_mod_9_sets(self):
         scan = witness.classify_all(9)
         codes, _ = liar_set_view(scan)
-        assert list(scan.witnesses) == [2, 4, 5, 7]
+        assert scan.witness_block(0, 4).tolist() == [2, 4, 5, 7]
         assert list(np.flatnonzero(codes == _scan.CODE_NON_COPRIME)) == [0, 3, 6]
         assert list(np.flatnonzero(codes == _scan.CODE_DTH_ROOT)) == [1]
         assert list(np.flatnonzero(codes == _scan.CODE_MINUS_ONE)) == [8]
@@ -200,7 +200,7 @@ class TestWitnessArrays:
             dec = witness.mr_decompose(n)
             codes = _scan.scan_numpy(n, dec.d, dec.s, factorize(n).primes)[0]
             is_witness = codes == _scan.CODE_WITNESS
-            assert np.array_equal(scan.witnesses, np.flatnonzero(is_witness)), n
+            assert np.array_equal(np.flatnonzero(~scan.mask), np.flatnonzero(is_witness)), n
             assert np.array_equal(scan.nonwitnesses, np.flatnonzero(~is_witness)), n
 
     def test_sorted_nonwitnesses_equal_the_mask(self):
@@ -249,8 +249,11 @@ class TestWitnessArrays:
         assert sum(equidist.histogram(n, 1000).counts) == n - 3083
         equidist.interval_fraction(n, 0.125, 0.6)
         assert 0 < equidist.star_discrepancy(n) < 1
+        assert len(equidist.weyl_battery(n, 3)) == 3
+        assert expsums.decomposition_reports(n, [3])[0].residual_total < 1e-6
+        assert equidist.scan_row(n, 3).least_witness == 2
         with pytest.raises(AssertionError, match="mask was built"):
-            witness.classify_all(n).witnesses
+            witness.classify_all(n).mask
 
     def test_arrays_built_once_on_first_read(self, monkeypatch):
         calls = []
@@ -263,7 +266,7 @@ class TestWitnessArrays:
         monkeypatch.setattr(_scan, "nonwitness_mask", nonwitness_mask)
         scan = witness.classify_all(561)
         assert calls == []
-        assert scan.witnesses is scan.witnesses
+        assert scan.mask is scan.mask
         assert scan.nonwitnesses is scan.nonwitnesses
         assert scan.codes is scan.codes and scan.stages is scan.stages
         assert calls == [561]
@@ -299,7 +302,7 @@ class TestWitnessArrays:
         monkeypatch.setattr(_scan, "scan_numpy", fail)
         n = 200005
         scan = witness.classify_all(n)
-        assert len(scan.witnesses) + len(scan.nonwitnesses) == n
+        assert scan.counts.witness + len(scan.nonwitnesses) == n
         assert sum(equidist.histogram(n, 1000).counts) == scan.counts.witness
         equidist.interval_fraction(n, 0.125, 0.6)
         assert 0 < equidist.star_discrepancy(n) < 1
