@@ -34,9 +34,11 @@ Shared kernels, each defined once here:
   them (`witness.ResidueScan`, whose sets `nonwitness_mask` and
   `nonwitness_array` read, and the cancel-ratio suite's power-residue
   sets);
-* `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy` and
-  the partition suite's batched pow re-check of each liar against the set
-  it came from);
+* `pow_elementwise`: base**exponent mod n with a modulus per element (the
+  partition suite's batched pow re-check of each liar against the set it
+  came from, and `witness.least_witnesses`);
+* `liar_codes`: the stage rule on x = w**d, vectorized (`scan_numpy`, the
+  same re-check, and `witness.least_witnesses`);
 * `_powers`: the power table of one generator (the liar subgroups here,
   the discrete-log tables of `characters`, which invert it);
 * `outer_sum`: one value per index vector, summed over components (the
@@ -96,14 +98,19 @@ def liar_codes(x: np.ndarray, n, s) -> tuple[np.ndarray, np.ndarray]:
 
     n and s are scalars or per-element arrays.  Code 2 where x = 1; code 3
     and stage j where j < s is least with x**(2**j) = -1; code 0 and stage
-    -1 elsewhere.  x is squared once per stage up to max(s) and never
-    written into.  Products stay below n**2 < 2**62.
+    -1 elsewhere.  x is never written into: one scratch copy of it is
+    squared in place once per stage below max(s), reduced by `_reduce`, so
+    the work arrays are two int64 copies of len(x) beside the codes and
+    stages.  Products stay below n**2 < 2**62.
     """
     codes = np.where(x == 1, CODE_DTH_ROOT, CODE_WITNESS).astype(np.uint8)
     stages = np.full(len(x), -1, np.int8)
+    y, quot = x.copy(), np.empty_like(x)
     for j in range(int(np.max(s))):
-        stages[(x == n - 1) & (stages < 0) & (j < s)] = j
-        x = x * x % n
+        if j:
+            y *= y
+            _reduce(y, n, quot)
+        stages[(y == n - 1) & (stages < 0) & (j < s)] = j
     codes[stages >= 0] = CODE_MINUS_ONE
     return codes, stages
 
@@ -169,8 +176,9 @@ def nonwitness_array(n: int, primes, sets) -> np.ndarray:
     return out[keep]
 
 
-def _reduce(p: np.ndarray, n: int, quot: np.ndarray) -> None:
-    """p -= (p // n) * n in place, using quot as scratch.
+def _reduce(p: np.ndarray, n, quot: np.ndarray) -> None:
+    """p -= (p // n) * n in place, using quot as scratch; n a scalar or an
+    array of p's shape.
 
     Exact for 0 <= p < 2**63; numpy divides by a scalar through a
     precomputed multiplicative inverse (Granlund and Montgomery 1994),
@@ -214,6 +222,38 @@ def pow_all_numpy(n: int, exponent: int) -> np.ndarray:
             if bit == "1":
                 acc *= w
                 _reduce(acc, n, q)
+    return out
+
+
+def pow_elementwise(base, exponent, modulus) -> np.ndarray:
+    """base**exponent mod modulus for each element: int64 arrays of one
+    length, or scalars broadcast against them.
+
+    Requires 1 <= modulus < 2**31 and exponent >= 0, so every product of
+    two residues is below 2**62 and exact in int64.  Right-to-left
+    square-and-multiply with per-element exponent and modulus, over blocks
+    of _POW_BLOCK elements, so the temporaries are block-sized whatever
+    the length.
+    """
+    base, exponent, modulus = np.broadcast_arrays(
+        *(np.asarray(v, np.int64) for v in (base, exponent, modulus)))
+    out = np.empty(base.shape, np.int64)
+    for lo in range(0, len(out), _POW_BLOCK):
+        n = modulus[lo : lo + _POW_BLOCK]
+        b = base[lo : lo + _POW_BLOCK] % n
+        e = exponent[lo : lo + _POW_BLOCK].copy()
+        x = out[lo : lo + _POW_BLOCK]
+        np.remainder(1, n, out=x)
+        prod = np.empty_like(b)
+        while True:
+            np.multiply(x, b, out=prod)
+            np.remainder(prod, n, out=prod)
+            np.copyto(x, prod, where=(e & 1) == 1)
+            e >>= 1
+            if not e.any():
+                break
+            b *= b
+            np.remainder(b, n, out=b)
     return out
 
 

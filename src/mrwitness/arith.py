@@ -2,7 +2,8 @@
 
 Everything here is deterministic: primality is the strong test that
 defines a witness (`mr_split` and the walk `_minus_one_stage`, shared with
-`witness`) at fixed bases, exact below psi_13 = 3317044064679887385961981
+`witness`) at the first t prime bases below the proven bound psi_t, exact
+below psi_13 = 3317044064679887385961981
 (about 3.3 * 10^24) and refused from there on; factorization combines
 trial division with Brent's cycle-finding variant of the rho method using
 a fixed parameter schedule.  No probabilistic verdicts are surfaced.
@@ -16,12 +17,27 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-# Strong pseudoprime bounds (Sorenson and Webster 2017): the prime bases
-# up to 37 decide primality exactly below psi_12, and adding 41 extends that
-# to psi_13.  psi_12 = 399165290221 * 798330580441 passes every base to 37.
-_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_t, the least odd composite that passes the strong test to each of the
+# first t prime bases: below it those t bases decide primality exactly
+# (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng
+# 2014; Sorenson and Webster 2017).  psi_7 = psi_8 and psi_9 = psi_10 =
+# psi_11, so each value is listed once, with the largest t it serves.
+# psi_12 = 399165290221 * 798330580441 passes every base to 37.
+_STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_12 = 318665857834031151167461
 _PSI_13 = 3317044064679887385961981
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 8),
+    (3825123056546413051, 11),
+    (_PSI_12, 12),
+    (_PSI_13, 13),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -58,7 +74,9 @@ def _minus_one_stage(x: int, n: int, s: int) -> int | None:
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < psi_13 (about 3.3e24).
 
-    Strong tests to the prime bases up to 37, plus base 41 from psi_12 on;
+    Trial division by the primes to 47, then strong tests to the first t
+    prime bases for the least t with n < psi_t (`_PSI`): base 2 alone
+    below 2047, bases 2 and 3 below 1373653, up to the 13 bases to 41;
     DomainError at or above psi_13, where no fixed base set is proven.
     """
     if n < 2:
@@ -71,7 +89,8 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     d, s = mr_split(n)
-    for a in _STRONG_BASES if n < _PSI_12 else _STRONG_BASES + (41,):
+    t = next(t for psi, t in _PSI if n < psi)
+    for a in _STRONG_BASES[:t]:
         x = pow(a, d, n)
         if x != 1 and x != n - 1 and _minus_one_stage(x, n, s) is None:  # a is a witness
             return False
@@ -141,7 +160,8 @@ def factorize(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        # m has no prime factor up to 47, so below 53**2 it is prime
+        if m < 53 * 53 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         # composite with no factor <= 47: any divisor below 53**2 found by

@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _scan
-from ._scan import _BATCH_LIMIT
-from .arith import Factorization, _minus_one_stage, factorize, is_prime, mr_split
+from ._scan import _BATCH_LIMIT, _POW_BLOCK, CODE_WITNESS, liar_codes, pow_elementwise
+from .arith import _PSI, _STRONG_BASES, Factorization, _minus_one_stage, factorize, is_prime, mr_split
 from .errors import DomainError
 
 
@@ -253,6 +253,57 @@ def least_witness(n: int) -> tuple[int, int]:
             if math.gcd(a, n) == 1:
                 return a, least_any
     raise ArithmeticError(f"no witness found for composite {n}")  # pragma: no cover
+
+
+# Every base up to this one is tried before a modulus below 2**31 that
+# none of them fails is called prime: the prime bases 2, 3, 5 and 7 decide
+# primality below psi_4 = 3215031751 (`arith._PSI`).
+_LAST_DECIDING_BASE = _STRONG_BASES[next(t for psi, t in _PSI if _BATCH_LIMIT <= psi) - 1]
+
+
+def least_witnesses(ns) -> tuple[np.ndarray, np.ndarray]:
+    """`least_witness` of every odd composite n < 2**31 in ns, as two int64
+    arrays: the least witnesses and the least failing bases.
+
+    Bases a = 2, 3, ... are tried in rounds over the moduli of a block of
+    _POW_BLOCK that still lack a coprime witness: a**d mod n by
+    `_scan.pow_elementwise`, then the stage rule of `_scan.liar_codes`, so
+    every temporary is block-sized.  A modulus that no base up to 7 fails
+    is prime (`_LAST_DECIDING_BASE`).  DomainError for an even, prime or
+    too large modulus; `least_witness` serves one n, and every n past
+    2**31.
+    """
+    ns = np.asarray(ns, np.int64)
+    bad = ns[(ns < 3) | (ns % 2 == 0)]
+    if len(bad):
+        raise DomainError(f"need odd n >= 3, got {bad[0]}")
+    if len(ns) and ns.max() >= _BATCH_LIMIT:
+        raise DomainError(f"batched least witnesses support n < 2**31, got {ns.max()}")
+    small = ns[ns <= _LAST_DECIDING_BASE]  # 3, 5 or 7, which the rounds would reach
+    if len(small):
+        raise DomainError(f"{small[0]} is prime: no witnesses exist")
+    least = np.zeros_like(ns)
+    least_any = np.zeros_like(ns)
+    for lo in range(0, len(ns), _POW_BLOCK):
+        n = ns[lo : lo + _POW_BLOCK]
+        s = np.log2((n - 1) & -(n - 1)).astype(np.int64)  # exact at powers of 2
+        d = (n - 1) >> s
+        found, found_any = least[lo : lo + _POW_BLOCK], least_any[lo : lo + _POW_BLOCK]
+        pending = np.arange(len(n))
+        a = 2
+        while len(pending):
+            m = n[pending]
+            fails = liar_codes(pow_elementwise(a, d[pending], m), m, s[pending])[0] == CODE_WITNESS
+            found_any[pending[fails & (found_any[pending] == 0)]] = a
+            coprime = fails & (np.gcd(a, m) == 1)
+            found[pending[coprime]] = a
+            pending = pending[~coprime]
+            if a == _LAST_DECIDING_BASE:
+                primes = n[pending[found_any[pending] == 0]]
+                if len(primes):
+                    raise DomainError(f"{primes[0]} is prime: no witnesses exist")
+            a += 1
+    return least, least_any
 
 
 @dataclass(frozen=True)

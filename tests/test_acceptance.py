@@ -160,7 +160,9 @@ class TestCriterion7StrongLiars:
 
 
 class TestCriterion8LeastWitnessBound:
-    def test_bach_bound_scan(self):
+    def test_bach_bound_scan(self, capsys):
+        """The scan at the default bound, and its `verify` line against the
+        golden from the same results: no second run."""
         (r,) = suites.suite_bach(1_000_000)
         report(
             "8 least-witness-bound",
@@ -169,6 +171,7 @@ class TestCriterion8LeastWitnessBound:
         )
         assert r.ok, r.summary
         assert not r.findings, f"unexpected bound violations: {r.findings[:5]}"
+        assert_verify_lines([r], "verify_bach.txt", capsys)
 
 
 class TestCriterion9Histogram:

@@ -87,6 +87,42 @@ class TestIsPrime:
         assert not arith.is_prime(n)
         assert arith.is_prime(399165290221) and arith.is_prime(798330580441)
 
+    # (psi_t, t, its prime factors): the least odd composite that passes
+    # the strong test to each of the first t prime bases; psi_7 = psi_8 and
+    # psi_9 = psi_10 = psi_11 appear once, with the largest t
+    PSI = [
+        (2047, 1, (23, 89)),
+        (1373653, 2, (829, 1657)),
+        (25326001, 3, (2251, 11251)),
+        (3215031751, 4, (151, 751, 28351)),
+        (2152302898747, 5, (6763, 10627, 29947)),
+        (3474749660383, 6, (1303, 16927, 157543)),
+        (341550071728321, 8, (10670053, 32010157)),
+        (3825123056546413051, 11, (149491, 747451, 34233211)),
+        (PSI_12, 12, (399165290221, 798330580441)),
+        (PSI_13, 13, (1287836182261, 2575672364521)),
+    ]
+
+    @pytest.mark.parametrize("psi,t,factors", PSI)
+    def test_psi_t_is_a_composite_strong_liar_to_its_first_t_bases(self, psi, t, factors):
+        """Composite by its factors, and a strong liar to the first t prime
+        bases by Python's `pow` and this test's own walk, never by the
+        strong test under test; `is_prime` uses exactly these bounds."""
+        assert math.prod(factors) == psi and min(factors) > 1
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)[:t]:
+            x = pow(a, d, psi)
+            assert x in (1, psi - 1) or psi - 1 in (pow(x, 2**j, psi) for j in range(1, s)), a
+        assert (psi, t) in arith._PSI
+        assert arith._PSI == tuple((p, k) for p, k, _ in self.PSI)
+
+    @pytest.mark.parametrize("psi,t,factors", PSI[:-1])
+    def test_psi_t_is_caught_by_the_next_base(self, psi, t, factors):
+        assert not arith.is_prime(psi)
+        assert all(arith.is_prime(p) for p in factors)
+
     def test_refused_from_psi_13(self):
         for n in (self.PSI_13, self.PSI_13 + 2, 2**89 - 1):
             with pytest.raises(DomainError):

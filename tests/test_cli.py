@@ -46,6 +46,23 @@ class TestBasicCommands:
         assert code == 1
         assert "n is prime: witness set empty" in capsys.readouterr().err
 
+    def test_phase_sums_past_the_root_table_budget_exit_1(self, capsys, monkeypatch):
+        """The 16 B per residue of the e(m/n) table are refused before it
+        is allocated: at 2146654199 under the default budget (34 GB), and
+        at 1056331 under a budget of 16 * 10**6 bytes."""
+        from mrwitness import expsums
+
+        for argv in (["weyl", "--n", "2146654199", "--k", "1"],
+                     ["cancel", "--n", "2146654199", "--alpha", "2", "--b", "4", "--k", "1"]):
+            assert run_cli(*argv) == (1, "")
+            assert "needs 34346467184 bytes" in capsys.readouterr().err
+        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 10**6)
+        expsums._root_table.cache_clear()
+        assert run_cli("weyl", "--n", "1056331", "--k", "1") == (1, "")
+        assert "needs 16901296 bytes" in capsys.readouterr().err
+        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 1056331)
+        assert run_cli("weyl", "--n", "1056331", "--k", "1")[0] == 0
+
     def test_statistics_of_a_prime_near_2_31_exit_1(self, capsys, monkeypatch):
         """Refused from Monier's counts, not by a 16 GiB liar allocation."""
         from mrwitness import _scan

@@ -39,9 +39,10 @@ printed, from its n-byte non-witness mask, for moduli whose few
 non-witnesses are now sorted from the factorization: 2074757 (3,083 of
 them), the scan of 2074757, 1000001 and 10001, and 2146654199 =
 46327 * 46337 (92,665 of them; commit b10aa0e took 2 GB for it).
-`verify --suite bach` is not among the commands here, because it takes
-3 s; the "Verify suites" step of .github/workflows/tier1.yml diffs it,
-and the "Console script" step diffs the others.
+The acceptance test of the least-witness bound compares verify_bach.txt
+with the results of its own run at the default bound, and the "Verify
+suites" step of .github/workflows/tier1.yml diffs it too; the "Console
+script" step diffs the others.
 verify_arith.txt is what commit 91b9a6f printed for `verify --suite
 arith` at its default bounds; it is not among the commands here, because
 that suite takes about 30 s, and the "Verify suites" step of

@@ -295,6 +295,26 @@ class TestDecompositionReport:
         total = sum((cs.value for cs in rep.per_stage_sums), 0j)
         assert total == pytest.approx(rep.minus_one_sum.value, abs=1e-12)
 
+    def test_stage_duplicates_are_counted_and_dropped(self, monkeypatch):
+        """A solver that puts every earlier stage's residues into each later
+        stage set: each repeat counts once, in the stage that repeats it,
+        and the per-stage sums stay those of the clean sets."""
+        (clean,) = expsums.decomposition_reports(65, [4])
+        original = expsums._solutions
+        calls = []
+
+        def solutions(n, tables):
+            calls.append(original(n, tables))
+            stages = calls[1:]  # after the d-th roots
+            return np.union1d(calls[-1], np.concatenate(stages)) if stages else calls[-1]
+
+        monkeypatch.setattr(expsums, "_solutions", solutions)
+        (rep,) = expsums.decomposition_reports(65, [4])
+        stages = calls[1:]
+        assert len(stages) == 6
+        assert rep.stage_duplicates == sum(len(x) * (5 - j) for j, x in enumerate(stages)) > 0
+        assert rep.per_stage_sums == clean.per_stage_sums and clean.stage_duplicates == 0
+
     @given(st.integers(min_value=4, max_value=600), st.integers(min_value=1, max_value=10))
     @settings(max_examples=100, deadline=None)
     def test_identities_generic(self, half, k):

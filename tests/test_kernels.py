@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrwitness import concurrency, equidist, expsums
-from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy
+from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy, pow_elementwise
 from mrwitness.arith import is_prime
 from mrwitness.witness import WitnessClass, _minus_one_stage, classify, classify_all, mr_decompose
 
@@ -42,6 +42,45 @@ class TestPowAll:
         got = pow_all_numpy(n, e)
         assert got.dtype == np.int64 and got.shape == (n,)
         assert got.tolist() == [pow(w, e, n) for w in range(n)]
+
+
+class TestPowElementwise:
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**62),
+                              st.integers(min_value=0, max_value=2**62),
+                              st.integers(min_value=1, max_value=2**31 - 1)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    @example([])
+    @example([(0, 0, 1), (5, 0, 7), (0, 0, 7), (2**31 - 2, 2**62, 2**31 - 1), (7, 3, 7)])
+    def test_matches_builtin_pow(self, rows):
+        base, exponent, modulus = (np.array(col, np.int64).reshape(-1) for col in zip(*rows)) if rows else ([],) * 3
+        got = pow_elementwise(base, exponent, modulus)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(b, e, n) for b, e, n in rows]
+
+    def test_scalars_broadcast_across_blocks(self):
+        """A scalar base against per-element exponents and moduli that span
+        three blocks, the shape `least_witnesses` calls it with."""
+        rng = np.random.default_rng(3)
+        n = rng.integers(1, 2**31, 2 * _POW_BLOCK + 5) | 1
+        e = rng.integers(0, 2**31, len(n))
+        got = pow_elementwise(3, e, n)
+        assert got.tolist() == [pow(3, int(a), int(m)) for a, m in zip(e, n)]
+
+
+def test_liar_codes_peak_at_two_scratch_arrays():
+    """Reading the pow route's codes at 2074757 holds powd, one squared
+    scratch copy and its quotient (24 B per residue) beside the codes and
+    stages: below 30 B per residue, where fresh temporaries per squaring
+    took 34 B."""
+    n = 2074757
+    scan = classify_all(n)
+    tracemalloc.start()
+    try:
+        scan.codes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * n
 
 
 GOLDEN_MODULI = (200005, 1056331, 2074757)  # the weyl and sums goldens

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mrwitness import _scan, characters, expsums, suites
+from mrwitness import _scan, characters, expsums, suites, witness
 from mrwitness.arith import Factorization, euler_phi, factorize, is_prime, sigma
 
 
@@ -425,3 +425,41 @@ def test_cancellation_ratio_catches_a_zero_envelope(monkeypatch):
 def test_characters_passes():
     (r,) = suites.suite_characters(60, 200)
     assert r.ok and r.failures == 0 and r.checked > 0
+
+
+def _bach_by_loop(n_max, least):
+    """The bach verdict taken at every odd composite by trial division,
+    with math.log at each: (checked, max least witness, max ratio,
+    findings)."""
+    checked, max_lw, max_ratio, findings = 0, 0, 0.0, []
+    for n in range(9, n_max + 1, 2):
+        if all(n % p for p in range(3, math.isqrt(n) + 1, 2)):
+            continue
+        lw, bound = least(n), 2.0 * math.log(n) ** 2
+        checked, max_lw, max_ratio = checked + 1, max(max_lw, lw), max(max_ratio, lw / bound)
+        if lw > bound:
+            findings.append({"n": n, "least_witness": lw, "bound": bound})
+    return checked, max_lw, max_ratio, findings
+
+
+def _bach_verdict(r):
+    lw, ratio = re.search(r"max least witness (\d+), max witness/bound ratio ([\d.]+)$", r.summary).groups()
+    return r.checked, int(lw), ratio, r.findings
+
+
+@pytest.mark.parametrize("n_max", [8, 9, 3001])
+def test_bach_matches_the_scalar_loop(n_max):
+    checked, max_lw, max_ratio, findings = _bach_by_loop(n_max, lambda n: witness.least_witness(n)[0])
+    (r,) = suites.suite_bach(n_max)
+    assert _bach_verdict(r) == (checked, max_lw, f"{max_ratio:.4f}", findings)
+
+
+def test_bach_findings_come_from_math_log(monkeypatch):
+    """Made-up least witnesses that break the bound at many moduli: the
+    findings, their bounds and the printed maximum are those of math.log
+    at every modulus, though the batch screens with np.log."""
+    monkeypatch.setattr(suites, "least_witnesses", lambda ns: (np.asarray(ns) % 97 + 2, None))
+    checked, max_lw, max_ratio, findings = _bach_by_loop(5001, lambda n: n % 97 + 2)
+    (r,) = suites.suite_bach(5001)
+    assert len(findings) > 50
+    assert _bach_verdict(r) == (checked, max_lw, f"{max_ratio:.4f}", findings)

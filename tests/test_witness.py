@@ -382,10 +382,31 @@ def _old_strong_test_fails(n: int, d: int, s: int, a: int) -> bool:
 
 
 def test_least_witness_matches_the_old_strong_test_loop():
-    ns = [n for n in range(9, 20_001, 2) if not is_prime(n)] + [561, 1105, 1729, 41041]
+    """Both routes, the scalar `least_witness` and the batched
+    `least_witnesses` over all the moduli at once, against the loop; the
+    composites come from trial division, not from `is_prime`."""
+    ns = [n for n in range(9, 20_001, 2) if any(n % p == 0 for p in range(3, math.isqrt(n) + 1, 2))]
+    ns += [561, 1105, 1729, 41041]
+    expected = []
     for n in ns:
         dec = witness.mr_decompose(n)
         failing = (a for a in range(2, n) if _old_strong_test_fails(n, dec.d, dec.s, a))
         least_any = next(failing)
         least = least_any if math.gcd(least_any, n) == 1 else next(a for a in failing if math.gcd(a, n) == 1)
+        expected.append((least, least_any))
         assert witness.least_witness(n) == (least, least_any), n
+    least, least_any = witness.least_witnesses(ns)
+    assert least.dtype == least_any.dtype == np.int64
+    assert list(zip(least.tolist(), least_any.tolist())) == expected
+
+
+def test_least_witnesses_refuse_what_least_witness_refuses():
+    """Even and prime moduli, a prime among composites of another block,
+    and n >= 2**31, which only the scalar route serves."""
+    composites = list(range(9, 6 * _scan._POW_BLOCK + 9, 6))  # odd multiples of 3: one block
+    for bad in ([4], [9, 1], [3], [5, 9], [7], [13], composites + [2**31 - 1], [2**31 + 1]):
+        with pytest.raises(DomainError):
+            witness.least_witnesses(bad)
+    assert witness.least_witness(2**31 + 1) == (2, 2)
+    least, least_any = witness.least_witnesses([])
+    assert least.tolist() == least_any.tolist() == []
