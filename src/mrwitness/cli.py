@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import concurrency, equidist, expsums, suites
+from . import equidist, expsums, suites
 from .arith import factorize, is_prime
 from .characters import character_group
 from .errors import DomainError
@@ -424,9 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mrwitness",
         description="Classify strong-compositeness witnesses and the exponential sums over them.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads of every pool: scan rows and phase-sum blocks "
-                             "(default: env WITNESS_THREADS, else all cores; 0 means unset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write n-1 = d * 2^s")
@@ -504,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = concurrency._flag.set(args.threads)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader gone after the last write shows here
@@ -519,8 +515,6 @@ def main(argv=None) -> int:
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_PIPE
-    finally:
-        concurrency._flag.reset(threads)
 
 
 if __name__ == "__main__":

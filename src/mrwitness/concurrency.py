@@ -1,25 +1,17 @@
 """Every thread pool of the package: its worker count and the one helper that
 runs it, for the rows of `equidist.scan` and the blocks of the phase sums
-(`expsums._pairwise_blocks`).  The count is the CLI's --threads flag for
-the length of one `cli.main` call, else the WITNESS_THREADS environment
-variable, else the CPU count."""
+(`expsums._pairwise_blocks`).  The count is the WITNESS_THREADS environment
+variable when it is a positive integer, else the CPU count."""
 
 from __future__ import annotations
 
 import os
 import threading
-from contextvars import ContextVar
-
-# --threads of the running `cli.main` call; set and reset by it alone
-_flag: ContextVar[int | None] = ContextVar("mrwitness_threads", default=None)
 
 
 def thread_count() -> int:
-    """The --threads flag when set (nonzero), else WITNESS_THREADS when a
-    positive integer, else the CPU count; at least 1."""
-    flag = _flag.get()
-    if flag:
-        return max(1, flag)
+    """WITNESS_THREADS when a positive integer, else the CPU count; at
+    least 1."""
     env = os.environ.get("WITNESS_THREADS", "")
     if env.isdigit() and int(env) > 0:
         return int(env)

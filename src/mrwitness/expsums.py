@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
+from ._scan import _reduce, pow_all_numpy
 from .arith import Factorization, factorize
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .concurrency import ordered_map
@@ -99,15 +99,20 @@ def budget_ratio(difference, *values):
     return difference / _budget(values)
 
 
-@lru_cache(maxsize=8)
-def _root_table(n: int) -> np.ndarray:
-    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
-    place in the one complex array, with no int64 ramp beside it.
-    DomainError before allocating when its 16 * n bytes exceed
-    ROOT_TABLE_BYTES."""
+def _check_root_table(n: int) -> None:
+    """DomainError when the 16 * n bytes of the e(m/n) table of n exceed
+    ROOT_TABLE_BYTES: asked before any n-sized array of a phase sum."""
     if 16 * n > ROOT_TABLE_BYTES:
         raise DomainError(f"the e(m/n) table of n = {n} needs {16 * n} bytes, "
                           f"past the budget of {ROOT_TABLE_BYTES} (n <= {ROOT_TABLE_BYTES // 16})")
+
+
+@lru_cache(maxsize=8)
+def _root_table(n: int) -> np.ndarray:
+    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
+    place in the one complex array, with no int64 ramp beside it, after
+    `_check_root_table`."""
+    _check_root_table(n)
     z = np.arange(n, dtype=np.complex128)
     z *= 2j * np.pi
     z /= n
@@ -244,8 +249,7 @@ def ramanujan(n: int, ks) -> list[RamanujanSum]:
     form reads."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n >= _BATCH_LIMIT:
-        raise DomainError(f"unit enumeration supports n < 2**31, got {n}")
+    _check_root_table(n)
     ks = list(ks)
     fac = factorize(n)
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)  # [0] at n = 1, where brute is 1
@@ -264,7 +268,8 @@ def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
     blocks of `_pairwise_blocks`: the bits of the full-array sum, with
     block-sized temporaries and no n-sized residue range."""
     n = chi.modulus
-    vals = chi.value_table()
+    _check_root_table(n)
+    vals = chi.value_table()  # refused by its own limits before it is built
     table = _root_table(n)
     kr = k % n
 
@@ -363,8 +368,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     if math.gcd(b, n) != 1:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
-    if n >= _BATCH_LIMIT:
-        raise DomainError(f"solution enumeration supports n < 2**31, got {n}")
+    _check_root_table(n)
     sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(factorize(n))])
     (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)
@@ -398,6 +402,7 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     tau = phi(n) * ifftn(grid).
     """
     n = group.n
+    _check_root_table(n)
     flat = group.log_combination(math.prod(group.orders[i + 1 :]) for i in range(len(group.orders)))
     units = np.flatnonzero(flat >= 0)
     grid = np.zeros(group.total_order, np.complex128)

@@ -48,14 +48,29 @@ class TestBasicCommands:
 
     def test_phase_sums_past_the_root_table_budget_exit_1(self, capsys, monkeypatch):
         """The 16 B per residue of the e(m/n) table are refused before it
-        is allocated: at 2146654199 under the default budget (34 GB), and
-        at 1056331 under a budget of 16 * 10**6 bytes."""
-        from mrwitness import expsums
+        is allocated, and so is every n-sized array of the same command: at
+        2146654199 under the default budget (34 GB), and at 1056331 under a
+        budget of 16 * 10**6 bytes."""
+        from mrwitness import characters, expsums
 
-        for argv in (["weyl", "--n", "2146654199", "--k", "1"],
-                     ["cancel", "--n", "2146654199", "--alpha", "2", "--b", "4", "--k", "1"]):
-            assert run_cli(*argv) == (1, "")
+        def refused(*argv):
+            assert run_cli(*argv) == (1, ""), argv
             assert "needs 34346467184 bytes" in capsys.readouterr().err
+
+        def fail(*args):
+            raise AssertionError("reached past the budget check")
+
+        refused("weyl", "--n", "2146654199", "--k", "1")
+        with monkeypatch.context() as m:
+            # gauss builds the value table, and ramanujan and cancel factor
+            # n, just before their first n-sized array: a late check fails here
+            m.setattr(characters.DirichletCharacter, "value_table", fail)
+            m.setattr(expsums, "factorize", fail)
+            refused("gauss", "--n", "2146654199", "--char", "1", "--k", "1")
+            refused("ramanujan", "--n", "2146654199", "--k", "1")
+            refused("cancel", "--n", "2146654199", "--alpha", "2", "--b", "4", "--k", "1")
+            lam = 46326 * 46336 // 2  # lambda(46327 * 46337): every unit solves w**lam = 1
+            refused("cancel", "--n", "2146654199", "--alpha", str(lam), "--b", "1", "--k", "1")
         monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 10**6)
         expsums._root_table.cache_clear()
         assert run_cli("weyl", "--n", "1056331", "--k", "1") == (1, "")
@@ -302,7 +317,7 @@ class TestScanCommand:
             "k_max = 2\n",  # no n source
             "n_values = 9\nchecks = figure2\n",  # unknown suite
             "n_values = 9\nn_range = 9..27\n",  # two n sources
-            "n_values = 9\nthreads = 2\n",  # workers come from --threads only
+            "n_values = 9\nthreads = 2\n",  # workers come from WITNESS_THREADS only
             "n_values = 9\nk = 3\n",  # no abbreviation of k_max
             "n_values = 9\nk_max = 0\n",
             "n_values = 9\nk_max = 1000001\n",  # past expsums.MAX_FREQUENCY
@@ -433,38 +448,37 @@ class TestClosedStdout:
         assert capsys.readouterr().err == ""
 
 
-# (WITNESS_THREADS, --threads, the worker count they give with 5 CPUs)
+# (WITNESS_THREADS, the worker count it gives with 5 CPUs)
 _PRECEDENCE = [
-    ("4", "3", 3),  # --threads first
-    ("4", "0", 4),  # 0 is unset: then WITNESS_THREADS
-    ("4", None, 4),
-    (None, "3", 3),
-    (None, "0", 5),  # then the CPU count
-    (None, None, 5),
+    ("4", 4),
+    ("0", 5),  # not a positive integer: then the CPU count
+    ("four", 5),
+    (None, 5),
 ]
 
 
 class TestThreads:
     def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("WITNESS_THREADS", "3")
-        assert concurrency.thread_count() == 3
-        for flag, expected in ((0, 3), (5, 5), (-2, 1)):  # 0 means unset; a set flag wins
-            token = concurrency._flag.set(flag)
-            try:
-                assert concurrency.thread_count() == expected
-            finally:
-                concurrency._flag.reset(token)
-        monkeypatch.setenv("WITNESS_THREADS", "0")
-        assert concurrency.thread_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        for env, expected in _PRECEDENCE:
+            if env is None:
+                monkeypatch.delenv("WITNESS_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("WITNESS_THREADS", env)
+            assert concurrency.thread_count() == expected, env
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert concurrency.thread_count() == 1
 
-    def test_flag_parses(self):
-        code, out = run_cli("--threads", "1", "decompose", "--n", "9")
-        assert code == 0 and out == "d=1 s=3\n"
+    def test_flag_is_gone(self):
+        """The worker count has one setting, WITNESS_THREADS: --threads is
+        a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads", "1", "decompose", "--n", "9"])
+        assert exc.value.code == 2
 
     @staticmethod
-    def _check_precedence(call, env, flag, expected, monkeypatch):
-        """The pools that `call` starts are sized by the one rule, and the
-        flag does not outlive its `main` call."""
+    def _check_precedence(call, env, expected, monkeypatch):
+        """The pools that `call` starts are sized by the one rule."""
         if env is None:
             monkeypatch.delenv("WITNESS_THREADS", raising=False)
         else:
@@ -478,18 +492,16 @@ class TestThreads:
             return workers[-1]
 
         monkeypatch.setattr(concurrency, "thread_count", thread_count)
-        argv = call if flag is None else ["--threads", flag] + call
-        assert run_cli(*argv)[0] == 0
+        assert run_cli(*call)[0] == 0
         assert workers == [expected]
-        assert original() == (5 if env is None else int(env))  # the flag does not outlive its call
 
-    @pytest.mark.parametrize("env, flag, expected", _PRECEDENCE)
-    def test_scan_worker_precedence(self, env, flag, expected, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env, expected", _PRECEDENCE)
+    def test_scan_worker_precedence(self, env, expected, tmp_path, monkeypatch):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n_values = 9, 15\nk_max = 2\n")
-        self._check_precedence(["scan", "--config", str(cfg)], env, flag, expected, monkeypatch)
+        self._check_precedence(["scan", "--config", str(cfg)], env, expected, monkeypatch)
 
-    @pytest.mark.parametrize("env, flag, expected", _PRECEDENCE)
-    def test_weyl_worker_precedence(self, env, flag, expected, monkeypatch):
+    @pytest.mark.parametrize("env, expected", _PRECEDENCE)
+    def test_weyl_worker_precedence(self, env, expected, monkeypatch):
         """The phase-sum blocks: 34510 witnesses at 40001 make two."""
-        self._check_precedence(["weyl", "--n", "40001", "--k", "2"], env, flag, expected, monkeypatch)
+        self._check_precedence(["weyl", "--n", "40001", "--k", "2"], env, expected, monkeypatch)

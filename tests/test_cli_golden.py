@@ -52,7 +52,7 @@ for `weyl --n 2074757 --k 10` and `sums --n 2074757 --k 3` from its
 witness list: the phase sums over the 2,071,674 witnesses of that
 modulus, in many blocks, that the sorted non-witnesses now give; the
 "Console script" step of .github/workflows/tier1.yml diffs both,
-threaded and with --threads 1.
+threaded and with WITNESS_THREADS=1.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.

@@ -106,8 +106,9 @@ class TestRamanujan:
                 assert expsums.ramanujan_closed(fac, k) == oracle[g], (n, k)
 
     def test_refused_past_2_31_before_allocating(self):
-        # the unit mask alone would take terabytes
-        with pytest.raises(DomainError, match="2\\*\\*31"):
+        # the unit mask alone would take terabytes: the root-table budget
+        # refuses n before it is built
+        with pytest.raises(DomainError, match=f"needs {16 * (2**40 + 1)} bytes"):
             expsums.ramanujan(2**40 + 1, [1])
 
 class TestGaussSums:
@@ -175,15 +176,17 @@ class TestGaussSums:
         assert expsums.gauss_sum_brute(chi, k).value == pytest.approx(oracle, abs=1e-9)
 
     def test_refused_past_2_31_before_allocating(self):
-        # both components are below the log-table limit; n-sized tables are not
-        chi = character_group(9999991 * 9999973).character_by_index(1)
-        for route in (
-            chi.value_table,
-            lambda: expsums.gauss_sum_brute(chi, 1),
-            lambda: expsums.gauss_sum_reduced(chi, 1),
-            lambda: expsums.gauss_sums(chi.group, 1),
+        # both components are below the log-table limit; n-sized tables are
+        # not, and the phase-sum routes meet the root-table budget first
+        n = 9999991 * 9999973
+        chi = character_group(n).character_by_index(1)
+        for route, message in (
+            (chi.value_table, "2\\*\\*31"),
+            (lambda: expsums.gauss_sum_brute(chi, 1), f"needs {16 * n} bytes"),
+            (lambda: expsums.gauss_sum_reduced(chi, 1), f"needs {16 * n} bytes"),
+            (lambda: expsums.gauss_sums(chi.group, 1), f"needs {16 * n} bytes"),
         ):
-            with pytest.raises(DomainError, match="2\\*\\*31"):
+            with pytest.raises(DomainError, match=message):
                 route()
 
 class TestGaussSumsFFT:
