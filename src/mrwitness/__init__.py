@@ -9,12 +9,9 @@ interval.
 
 from .arith import (
     Factorization,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    mobius,
-    pow_mod,
     primitive_root,
     sigma,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "classify",
     "classify_all",
     "decomposition_reports",
-    "divisors",
     "euler_phi",
     "factorize",
     "gauss_sum_brute",
@@ -95,9 +91,7 @@ __all__ = [
     "is_prime",
     "least_odd_composite_at_least",
     "least_witness",
-    "mobius",
     "mr_decompose",
-    "pow_mod",
     "primitive_root",
     "ramanujan",
     "scan",

@@ -40,18 +40,7 @@ _PSI = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def pow_mod(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus without intermediate overflow.
-
-    Supports moduli up to (and past) 2**63 thanks to Python integers.
-    """
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    return pow(base % modulus, exponent, modulus)
+TRIAL_LIMIT = 2400  # factorize trial-divides by the odd d below this before Brent's rho
 
 
 def mr_split(n: int) -> tuple[int, int]:
@@ -168,7 +157,7 @@ def factorize(n: int) -> Factorization:
         # stepping odd d from 49 is necessarily prime
         found = 0
         d = 49
-        while d * d <= m and d < 2400:
+        while d * d <= m and d < TRIAL_LIMIT:
             if m % d == 0:
                 found = d
                 break
@@ -188,24 +177,8 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def mobius(n: int) -> int:
-    """+1 / -1 for squarefree n with an even / odd number of prime factors, else 0."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.factors):
-        return 0
-    return -1 if len(fac.factors) % 2 else 1
-
-
-def divisors(n: int) -> list[int]:
-    """All divisors of n, sorted ascending."""
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def sigma(n: int) -> int:
-    """Sum of the divisors of n."""
+    """Sum of the d >= 1 that divide n."""
     out = 1
     for p, e in factorize(n).factors:
         out *= (p ** (e + 1) - 1) // (p - 1)

@@ -126,11 +126,7 @@ def interval_fraction(n: int, a: float, b: float) -> tuple[float, float]:
 def star_discrepancy_points(points: np.ndarray) -> float:
     """Exact D* of a finite point set in [0, 1]:
     max over sorted x_i of max(i/N - x_i, x_i - (i-1)/N)."""
-    return _star_discrepancy_sorted(np.sort(np.asarray(points, dtype=np.float64)))
-
-
-def _star_discrepancy_sorted(x: np.ndarray) -> float:
-    """star_discrepancy_points of points already in ascending order."""
+    x = np.sort(np.asarray(points, dtype=np.float64))
     if len(x) == 0:
         raise DomainError("discrepancy of an empty point set")
     N = len(x)

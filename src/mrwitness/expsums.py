@@ -81,7 +81,8 @@ def _budget(values) -> float:
     """The error budgets of the values compared, summed: a ComplexSum counts
     its error_budget, an FFT value tau mod n (`gauss_sums`) is passed as n
     and counts n * BUDGET_SCALE, and exact values (closed forms, 0,
-    sqrt(n)) are not passed."""
+    sqrt(n)) count none: they are not passed, or come as a ComplexSum
+    with error_budget 0."""
     total = 0.0
     for v in values:
         total += v.error_budget if isinstance(v, ComplexSum) else v * BUDGET_SCALE
@@ -426,10 +427,11 @@ class DecompositionReport:
     """Every class sum for one (n, k), with the two identity residuals.
 
     witness_sum and nonwitness_sum come from the classification scan.
-    shared_factor_sum is the negated Ramanujan closed form; dth_root_sum
-    and minus_one_sum come from power-residue solution sets, the latter
-    attributed to the least stage hitting -1 (stage sets are checked
-    disjoint; duplicates are counted, never silently merged).
+    shared_factor_sum is the negated Ramanujan closed form, exact, with
+    error_budget 0; dth_root_sum and minus_one_sum come from power-residue
+    solution sets, the latter attributed to the least stage hitting -1
+    (stage sets are checked disjoint; duplicates are counted, never
+    silently merged).
     residual_total is |witness_sum + nonwitness_sum| and
     residual_partition is |nonwitness_sum - (the three class sums)|.
     """
@@ -494,7 +496,7 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     out = []
     for k, s_wit, s_non, s2, stage_sums in per_k:
         closed = ramanujan_closed(scan.fac, k)
-        s1 = _csum(complex(-closed, 0.0), scan.counts.non_coprime, n)
+        s1 = ComplexSum(float(-closed), 0.0, scan.counts.non_coprime, 0.0)
         z3 = sum((cs.value for cs in stage_sums), 0j)
         s3 = _csum(z3, sum(cs.term_count for cs in stage_sums), n)
         residual_total = abs(s_wit.value + s_non.value)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrwitness import expsums
-from mrwitness.arith import divisors, euler_phi, factorize, primitive_root
+from mrwitness.arith import euler_phi, factorize, primitive_root
 from mrwitness.characters import CharacterGroup, UnitGroupComponent, character_group
 from mrwitness.errors import DomainError
 
@@ -235,7 +235,7 @@ def brute_conductors(n: int):
     weights = np.array([M // m for m in g.orders], np.int64)
     phases = (exps * weights).reshape(len(exps), -1) @ np.array(logs, np.int64).reshape(-1, n) % M
     conductor = np.zeros(len(exps), np.int64)
-    for q in reversed(divisors(n)):
+    for q in (q for q in range(n, 0, -1) if n % q == 0):
         ones = [w for w in range(1, n, q) if mask[w]]
         conductor[(phases[:, ones] == 0).all(axis=1)] = q
     out = []

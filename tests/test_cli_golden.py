@@ -43,9 +43,10 @@ The acceptance test of the least-witness bound compares verify_bach.txt
 with the results of its own run at the default bound, and the "Verify
 suites" step of .github/workflows/tier1.yml diffs it too; the "Console
 script" step diffs the others.
-verify_arith.txt is what commit 91b9a6f printed for `verify --suite
-arith` at its default bounds; it is not among the commands here, because
-that suite takes about 30 s, and the "Verify suites" step of
+verify_arith.txt is what `verify --suite arith` prints at its default
+bounds since the Mobius divisor identity left that suite and its seeded
+semiprimes for Brent's rho came in; it is not among the commands here,
+because that suite takes about 12 s, and the "Verify suites" step of
 .github/workflows/tier1.yml diffs it instead.
 weyl_2074757.txt and sums_2074757.txt are what commit 89fa633 printed
 for `weyl --n 2074757 --k 10` and `sums --n 2074757 --k 3` from its
@@ -53,6 +54,14 @@ witness list: the phase sums over the 2,071,674 witnesses of that
 modulus, in many blocks, that the sorted non-witnesses now give; the
 "Console script" step of .github/workflows/tier1.yml diffs both,
 threaded and with WITNESS_THREADS=1.
+The three sums_*.txt files print shared_factor_sum.error_budget as 0.0
+since that sum, the exact closed form -c_n(k), carries no budget; every
+other byte is as the commits above printed it.
+bounds_1000036000099.txt is the bounds of 1000003 * 1000033, the one
+command here past 2**31 whose factorization needs Brent's rho; its
+counts were checked once against Monier's closed form over a
+trial-division factorization, and least_witness = 2 against builtin pow.
+The "Console script" step of .github/workflows/tier1.yml diffs it too.
 witnesses_1056331_list.sha256 is the sha256 of what commit 03c8df0 printed
 for `witnesses --n 1056331 --out -`, the witness list itself; the "Console
 script" step of .github/workflows/tier1.yml compares it.
@@ -94,6 +103,8 @@ def _commands():
     yield "sums_2074757", ["sums", "--n", "2074757", "--k", "3"]
     yield "scan_sparse", ["scan", "--config", SPARSE_SCAN_CONFIG]
     yield "interval_2146654199", ["interval", "--n", "2146654199", "--a", "0.125", "--b", "0.6"]
+    # 1000036000099 = 1000003 * 1000033: rho and Monier's counts past 2**31
+    yield "bounds_1000036000099", ["bounds", "--n", "1000036000099"]
     yield "ramanujan_200005", ["ramanujan", "--n", "200005", "--k", "3"]
     yield "ramanujan_1056331", ["ramanujan", "--n", "1056331", "--k", "7"]
     # 6561 = 3**8 on all three paths (chi**3 has conductor 2187 = 6561/3);

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mrwitness import _scan, characters, expsums, suites, witness
+from mrwitness import _scan, arith, characters, expsums, suites, witness
 from mrwitness.arith import Factorization, euler_phi, factorize, is_prime, sigma
 
 
@@ -300,6 +300,15 @@ def test_arith_catches_a_wrong_factorization(monkeypatch, wrong):
     monkeypatch.setattr(suites, "factorize", lambda n: Factorization(n, wrong) if n == 1001 else original(n))
     (r,) = suites.suite_arith(100, 2000)
     assert not r.ok and r.failures == 1
+
+
+def test_arith_catches_a_wrong_rho_split(monkeypatch):
+    """Only the seeded semiprimes past the trial bound reach Brent's rho;
+    a rho that returns 2 makes each of them come back wrong.  (A rho that
+    returns 1 or n would make factorize loop forever.)"""
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: 2)
+    (r,) = suites.suite_arith(100, 10_000)
+    assert not r.ok and r.failures == suites.RHO_SEMIPRIMES
 
 
 def test_arith_catches_phi_off_by_one(monkeypatch):
