@@ -14,13 +14,15 @@ compared (`agrees`), never by an ad-hoc tolerance.  The budget is
 empirical, not a worst-case bound: the verification suites measure
 residuals of 0.03-0.31 of it.
 
-Term-by-term phase sums over n-sized residue sets run through one
-kernel, `_phase_sums`, for any list of frequencies k.  It works in blocks
-of at most _LEAF residues whose boundaries are the nodes of numpy's own
+Every term-by-term phase sum over a residue set runs through one kernel,
+`_phase_sums`, for any list of frequencies k.  It works in blocks of at
+most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.  A block is a range [lo, hi) of ranks
+gathered arrays stay block-sized.  Few terms against n (`_FEW_RATIO`)
+build no table: each e(k*w/n) comes from `_roots`, which builds the table
+too, so both leaves give the same bits.  A block is a range [lo, hi) of ranks
 in the ascending set, and each leaf builds its own residues from a block
 source: a slice of an array, or `ResidueScan.witness_block`, which builds
 the witnesses of those ranks from the sorted non-witnesses, so no
@@ -28,8 +30,6 @@ n-sized witness list exists.  The blocks are independent, so they run
 through `concurrency.ordered_map`, on `thread_count()` workers from the
 main thread and inline from any other, and their sums are added up the
 tree in the same order: the same bits for any worker count.
-`gauss_sum_brute` walks the same blocks over the full range [0, n), each
-leaf building its own range of residues.
 """
 
 from __future__ import annotations
@@ -108,16 +108,20 @@ def _check_root_table(n: int) -> None:
                           f"past the budget of {ROOT_TABLE_BYTES} (n <= {ROOT_TABLE_BYTES // 16})")
 
 
+def _roots(z: np.ndarray, n: int) -> np.ndarray:
+    """e(m/n) in place of each m of the complex array z: the one source of these bits."""
+    z *= 2j * np.pi
+    z /= n
+    return np.exp(z, out=z)
+
+
 @lru_cache(maxsize=8)
 def _root_table(n: int) -> np.ndarray:
     """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
     place in the one complex array, with no int64 ramp beside it, after
     `_check_root_table`."""
     _check_root_table(n)
-    z = np.arange(n, dtype=np.complex128)
-    z *= 2j * np.pi
-    z /= n
-    return np.exp(z, out=z)
+    return _roots(np.arange(n, dtype=np.complex128), n)
 
 
 def _check_k(n: int, k: int) -> int:
@@ -129,6 +133,11 @@ def _check_k(n: int, k: int) -> int:
 
 
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
+# `_phase_sums` takes its own exps when terms * len(ks) * 16 <= n: 25-33 ns per
+# term against a 7-12 ns gather and a 25 ns per residue table (n = 2000003, 2-CPU
+# VM), so a cached table is wasted by at most 1.6 ns per residue.  Measured on
+# `suite_cancellation_ratio()`: 2.18-2.32 s at 4, 2.37-2.41 s at 16, 2.91-3.02 s at 64.
+_FEW_RATIO = 16
 
 
 def _pairwise(lo: int, hi: int, leaf):
@@ -171,6 +180,10 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     residues(lo, hi) gives those of ranks [lo, hi) of the ascending set,
     as `ResidueScan.witness_block` does.
 
+    When count * len(ks) * _FEW_RATIO <= n, each leaf takes e(k*w/n) from
+    `_roots` on its own len(ks) x block indices, 24 B per term: at most
+    1.5 n B per worker, against the table's 16 n B.  Otherwise it gathers.
+
     Within a block, the index k*w mod n of a k whose residue mod n is one
     more than the previous k's is carried from it: adding w < n to an
     index below n gives a sum t < 2n, and t mod n is the smaller of t and
@@ -196,6 +209,13 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     krs = [k % n for k in ks]
     if count == 0:
         return [0j] * len(krs)
+    if count * len(krs) * _FEW_RATIO <= n:
+        kcol = np.array(krs, np.int64)[:, None]
+
+        def few(lo, hi):
+            return _roots((kcol * residues(lo, hi) % n).astype(np.complex128), n).sum(axis=1)
+
+        return _pairwise_blocks(count, few).tolist()
     table = _root_table(n)
     size = min(count, _LEAF)
     own = threading.local()

@@ -254,35 +254,20 @@ def suite_cancellation_additivity(
             SuiteResult("additivity", checked, add_fail, additivity)]
 
 
-def _sigma_of_gcd(fac, k: int) -> int:
-    """sigma(gcd(n, k)) for n = fac.n: the product over p**e || n of
-    1 + p + ... + p**f, f = min(e, v_p(k))."""
-    out = 1
-    for p, e in fac.factors:
-        power = term = 1
-        for _ in range(e):
-            if k % (power * p):
-                break
-            power *= p
-            term += power
-        out *= term
-    return out
-
-
 def suite_ramanujan(n_max: int = RAMANUJAN_N_MAX, k_max: int = RAMANUJAN_K_MAX) -> list[SuiteResult]:
     """Closed form vs brute force within the brute sum's error budget (the
     closed form is exact) for all n <= n_max, k <= k_max, plus the
-    divisor-sum envelope |closed| <= sigma(gcd(n, k)), each sigma from one
-    factorization of n (`_sigma_of_gcd`).  Hard."""
+    divisor-sum envelope |closed| <= sigma(gcd(n, k)), from one table of
+    `arith.sigma` to k_max (gcd(n, k) <= k).  Hard."""
     failures = 0
     checked = 0
     worst = 0.0
+    sigmas = [0] + [sigma(g) for g in range(1, k_max + 1)]
     for n in range(1, n_max + 1):
-        fac = factorize(n)
         for r in expsums.ramanujan(n, range(1, k_max + 1)):
             worst = max(worst, expsums.budget_ratio(r.difference, r.brute))
             checked += 1
-            failures += not r.agrees or abs(r.closed) > _sigma_of_gcd(fac, r.k)
+            failures += not r.agrees or abs(r.closed) > sigmas[math.gcd(n, r.k)]
     summary = (f"unit-sum closed form == brute {_AGREEMENT_RULE} "
                f"(worst residual/budget {worst:.3f}) and |sum| <= sigma(gcd(n, k))")
     return [SuiteResult("ramanujan", checked, failures, summary)]
@@ -546,26 +531,21 @@ def suite_cancellation_ratio(n_max: int = RATIO_N_MAX) -> list[SuiteResult]:
     checked = 0
     max_ratio = 0.0
     max_at = 0
+    sigmas = [sigma(k) for k in RATIO_KS]
     for n in range(9, n_max + 1, 2):
         fac = factorize(n)
         if fac.factors == ((n, 1),):
             continue
         tau_n = math.prod(e + 1 for _, e in fac.factors)
         root_n = math.sqrt(n)
-        # ascending: the summation order fixes the printed floats
-        sets = [np.sort(x) for x in liar_sets(n, mr_decompose(n).d, fac.factors)]
-        for k in RATIO_KS:
-            envelope = sigma(k) * root_n * tau_n
-            for sols in sets:
-                # few terms per set: _phase_sums would build an n-sized root table per n
-                mag = abs(complex(np.exp(2j * np.pi * ((k * sols) % n) / n).sum()))
+        for sols in liar_sets(n, mr_decompose(n).d, fac.factors):
+            # ascending: the summation order fixes the printed floats
+            for sigma_k, z in zip(sigmas, expsums._phase_sums(np.sort(sols), RATIO_KS, n)):
+                mag = abs(z)
                 checked += 1
-                ratio = mag / root_n
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    max_at = n
-                if mag > envelope:
-                    failures += 1
+                if mag / root_n > max_ratio:
+                    max_ratio, max_at = mag / root_n, n
+                failures += mag > sigma_k * root_n * tau_n
     summary = (f"power-residue sums over odd composite n <= {n_max}, k in {RATIO_KS}: "
                f"max |S'|/sqrt(n) = {max_ratio:.6f} at n = {max_at}; "
                f"envelope sigma(k) sqrt(n) tau(n) violated {failures} times")

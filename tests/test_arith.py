@@ -155,6 +155,13 @@ class TestMultiplicativeFunctions:
         brute = sum(1 for w in range(1, n + 1) if math.gcd(w, n) == 1)
         assert arith.euler_phi(n) == brute
 
+    def test_sigma_is_the_divisor_sum(self):
+        """sigma(n) against the sum of the divisors found by trial division
+        up to sqrt(n), with no `factorize`, for n <= 3000."""
+        for n in range(1, 3001):
+            divisors = {x for d in range(1, math.isqrt(n) + 1) if n % d == 0 for x in (d, n // d)}
+            assert arith.sigma(n) == sum(divisors), n
+
 
 class TestPrimitiveRoot:
     def test_odd_prime_power(self):

@@ -18,7 +18,7 @@ verify_cancel_dual.txt are what commit 914fb48 printed for the
 cancellation and additivity, ramanujan and cancel-dual suites at their
 default bounds; the acceptance tests compare each with the results of the
 run they already make, and the "Verify suites" step of
-.github/workflows/tier1.yml diffs the cancel-dual file too.
+.github/workflows/tier1.yml diffs the ramanujan and cancel-dual files too.
 verify_gauss_primitive.txt and
 verify_imprimitive.txt are what commit b5df8f0 printed for the
 gauss-primitive and imprimitive suites at their default bounds, and

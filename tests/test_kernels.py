@@ -103,25 +103,38 @@ def _mixed_ks(n):
     return [3, 3, 7, -1, 0, n - 1, n, n + 1, 10**6]
 
 
-def _check_bits(ws, n, ks):
+def _check_bits(ws, n, ks, few=None):
     """`_phase_sums` against numpy's full-array sum of the gathered roots,
-    bit for bit."""
+    bit for bit; with few given, also whether the call took the few-term
+    leaf, which reads no root table."""
     table = expsums._root_table(n)
     want = [complex(table[(k * ws) % n].sum()) for k in ks]
-    assert _bits(expsums._phase_sums(ws, ks, n)) == _bits(want), (n, len(ws), ks)
+    calls = expsums._root_table.cache_info()
+    got = expsums._phase_sums(ws, ks, n)
+    if few is not None:
+        assert (expsums._root_table.cache_info() == calls) == few, (n, len(ws), ks)
+    assert _bits(got) == _bits(want), (n, len(ws), ks)
 
 
 class TestPhaseSums:
     def test_small_moduli_match_oracle_bitwise(self):
         # ks 1..2n covers the wrap from n - 1 to 0 and k = n, 2n (index 0
         # everywhere) below 256; above that, 16 frequencies keep the pass
-        # to about a second.
+        # to about a second.  The sorted liar sets take either leaf.
+        leaves = set()
         for n in range(9, 2001, 2):
             if is_prime(n):
                 continue
-            ws = _witness_list(classify_all(n))
+            scan = classify_all(n)
+            ws = _witness_list(scan)
             _check_bits(ws, n, range(1, 2 * n + 1) if n < 256 else range(1, 17))
-            _check_bits(ws, n, _mixed_ks(n))
+            ks = _mixed_ks(n)
+            _check_bits(ws, n, ks)
+            for liars in map(np.sort, scan.liars):
+                few = len(liars) * len(ks) * expsums._FEW_RATIO <= n
+                _check_bits(liars, n, ks, few)
+                leaves.add(few)
+        assert leaves == {False, True}
 
     def test_root_table_is_the_full_expression_bitwise(self):
         """Built in place from a complex ramp, the table keeps the bits of
@@ -134,12 +147,20 @@ class TestPhaseSums:
 
     def test_empty_residues(self, monkeypatch):
         """No root table is built for an empty set, directly or through
-        an empty solution set of the cancellation sum."""
+        an empty solution set of the cancellation sum, nor for the few
+        liars of 2074757 (sets of 1, 1 and 4), whose sums at k = 1..10
+        match the gathered roots bit for bit."""
 
         def fail(n):
-            raise AssertionError("root table built for an empty set")
+            raise AssertionError("root table built")
 
+        n = 2074757
+        liars = [np.sort(x) for x in classify_all(n).liars]
+        assert [len(x) for x in liars] == [1, 1, 4]
+        table = expsums._root_table(n)
+        want = [_bits(complex(table[k * ws % n].sum()) for k in range(1, 11)) for ws in liars]
         monkeypatch.setattr(expsums, "_root_table", fail)
+        assert [_bits(expsums._phase_sums(ws, range(1, 11), n)) for ws in liars] == want
         assert expsums._phase_sums(np.array([], np.int64), [1, 2, 3], 15) == [0j, 0j, 0j]
         c = expsums.cancellation_sum(7, 2, 3, 1)  # 3 is not a square mod 7
         assert c.solution_count == 0 and c.total.value == 0j
@@ -249,12 +270,17 @@ class TestBlockWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bitwise_for_any_worker_count(self, workers, monkeypatch):
+        """Sets of one to four blocks on the gather leaf, and one of four
+        blocks on the few-term leaf: 2 * (3 * _LEAF + 5) terms against
+        n / _FEW_RATIO = 200000."""
         self._workers(monkeypatch, workers)
         n = 1_000_003
         rng = np.random.default_rng(17)
         leaf = expsums._LEAF
         for count in (leaf, leaf + 1, 3 * leaf + 5):
-            _check_bits(np.sort(rng.choice(n, count, replace=False)), n, _mixed_ks(n))
+            _check_bits(np.sort(rng.choice(n, count, replace=False)), n, _mixed_ks(n), few=False)
+        n = 3_200_003
+        _check_bits(np.sort(rng.choice(n, 3 * leaf + 5, replace=False)), n, [3, n + 1], few=True)
 
     def test_other_threads_run_inline(self, monkeypatch):
         def no_pool(*args, **kwargs):

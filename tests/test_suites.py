@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mrwitness import _scan, arith, characters, expsums, suites, witness
-from mrwitness.arith import Factorization, euler_phi, factorize, is_prime, sigma
+from mrwitness.arith import Factorization, euler_phi, factorize, is_prime
 
 
 def _partition(n_max):
@@ -395,18 +395,8 @@ def _brute_cancellation_ratio(n_max):
     return best, best_n
 
 
-def test_ramanujan_sigma_of_gcd_is_sigma_of_the_gcd():
-    """The envelope's sigma from the factorization of n equals
-    `arith.sigma` of the gcd, for n <= 3000 and k <= 60."""
-    want = {g: sigma(g) for g in range(1, 61)}
-    for n in range(1, 3001):
-        fac = factorize(n)
-        for k in range(1, 61):
-            assert suites._sigma_of_gcd(fac, k) == want[math.gcd(n, k)], (n, k)
-
-
 def test_ramanujan_catches_a_zero_envelope(monkeypatch):
-    monkeypatch.setattr(suites, "_sigma_of_gcd", lambda fac, k: 0)
+    monkeypatch.setattr(suites, "sigma", lambda g: 0)
     (r,) = suites.suite_ramanujan(30, 4)
     nonzero = sum(s.closed != 0 for n in range(1, 31) for s in expsums.ramanujan(n, range(1, 5)))
     assert not r.ok and r.failures == nonzero > 0
