@@ -237,20 +237,25 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_cancel(args) -> int:
-    dual = expsums.cancellation_sum_dual(args.n, args.alpha, args.b, args.k)
-    direct = dual.direct
-    _print_kv(
-        [
-            ("solution_count", direct.solution_count),
+    """The direct sum and its character average; the direct sum alone, with
+    a note on stderr, where the average's e(m/n) table is past its budget."""
+    try:
+        expsums._check_root_table(args.n)
+    except DomainError as exc:
+        direct, dual = expsums.cancellation_sum(args.n, args.alpha, args.b, args.k), None
+        print(f"character average skipped: {exc}", file=sys.stderr)
+    else:
+        dual = expsums.cancellation_sum_dual(args.n, args.alpha, args.b, args.k)
+        direct = dual.direct
+    rows = [("solution_count", direct.solution_count),
             ("direct_re", direct.total.real),
-            ("direct_im", direct.total.imag),
-            ("via_characters_re", dual.via_characters.real),
-            ("via_characters_im", dual.via_characters.imag),
-            ("difference", dual.difference),
-            ("agrees", dual.agrees),
-            ("sqrt_n_ratio", direct.sqrt_n_ratio),
-        ]
-    )
+            ("direct_im", direct.total.imag)]
+    if dual is not None:
+        rows += [("via_characters_re", dual.via_characters.real),
+                 ("via_characters_im", dual.via_characters.imag),
+                 ("difference", dual.difference),
+                 ("agrees", dual.agrees)]
+    _print_kv(rows + [("sqrt_n_ratio", direct.sqrt_n_ratio)])
     return EXIT_OK
 
 

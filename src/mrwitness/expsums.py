@@ -8,11 +8,16 @@ reduction exists, it is computed alongside a term-by-term brute-force sum
 and the two are compared, never assumed equal.
 
 Each accumulated sum carries an error budget of modulus * 2**-50, a
-deliberately generous cover for pairwise-summation rounding; two routes
-agree when they differ by less than the error budgets of the values
-compared (`agrees`), never by an ad-hoc tolerance.  The budget is
-empirical, not a worst-case bound: the verification suites measure
-residuals of 0.03-0.31 of it.
+deliberately generous cover for its rounding; two routes agree when they
+differ by less than the error budgets of the values compared (`agrees`),
+never by an ad-hoc tolerance.  The budget is empirical, not a worst-case
+bound: the verification suites measure residuals of 0.03-0.31 of it.
+Most of the rounding is the angle, not the pairwise sum: every term's
+angle is fl(2*pi) * m / n, and the rounding of fl(2*pi) is shared by all
+of them, so it moves a sum over N residues by up to about N * 2**-53.
+Over the 2,071,674 witnesses of 2074757 the sum is off a long-double
+reference by 4.8e-11 to 1.5e-10 at k = 1..10 (0.03-0.08 of the budget),
+and the Weyl sums of `equidist`, from its 6 strong liars, by 6e-15.
 
 Every term-by-term phase sum over a residue set runs through one kernel,
 `_phase_sums`, for any list of frequencies k.  It works in blocks of at
@@ -20,16 +25,19 @@ most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.  Few terms against n (`_FEW_RATIO`)
-build no table: each e(k*w/n) comes from `_roots`, which builds the table
-too, so both leaves give the same bits.  A block is a range [lo, hi) of ranks
-in the ascending set, and each leaf builds its own residues from a block
-source: a slice of an array, or `ResidueScan.witness_block`, which builds
-the witnesses of those ranks from the sorted non-witnesses, so no
-n-sized witness list exists.  The blocks are independent, so they run
-through `concurrency.ordered_map`, on `thread_count()` workers from the
-main thread and inline from any other, and their sums are added up the
-tree in the same order: the same bits for any worker count.
+gathered arrays stay block-sized.  A call of at most n terms over all
+its ks (`_FEW_RATIO`) builds no table: each e(k*w/n) comes from `_roots`,
+which builds the table too, so both leaves give the same bits.  That leaf
+takes the ks in chunks of at most _LEAF terms, 24 B of scratch each, so
+it holds at most 24 B * _LEAF per worker against the table's 16 n B.  A
+block is a range [lo, hi) of ranks in the ascending set, and each leaf
+builds its own residues from a block source: a slice of an array, or
+`ResidueScan.witness_block`, which builds the witnesses of those ranks
+from the sorted non-witnesses, so no n-sized witness list exists.  The
+blocks are independent, so they run through `concurrency.ordered_map`, on
+`thread_count()` workers from the main thread and inline from any other,
+and their sums are added up the tree in the same order: the same bits for
+any worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .errors import DomainError
 from .witness import classify_all
 
 MAX_FREQUENCY = 10**6  # |k| beyond this is outside the supported desk scale
-ROOT_TABLE_BYTES = 2**30  # the e(m/n) table takes 16 B per residue: n <= 2**26
+ROOT_TABLE_BYTES = 2**30  # e(m/n) table, 16 B per residue (n <= 2**26); `_solutions` candidates, 8 B each
 
 BUDGET_SCALE = 2.0**-50
 
@@ -133,11 +141,15 @@ def _check_k(n: int, k: int) -> int:
 
 
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
-# `_phase_sums` takes its own exps when terms * len(ks) * 16 <= n: 25-33 ns per
-# term against a 7-12 ns gather and a 25 ns per residue table (n = 2000003, 2-CPU
-# VM), so a cached table is wasted by at most 1.6 ns per residue.  Measured on
-# `suite_cancellation_ratio()`: 2.18-2.32 s at 4, 2.37-2.41 s at 16, 2.91-3.02 s at 64.
-_FEW_RATIO = 16
+# `_phase_sums` takes its own exps when terms * len(ks) * _FEW_RATIO <= n.  At
+# n = 2000003 on a 2-CPU VM the exp costs 30-32 ns per term, the gather 9-11 ns
+# and the table 24-25 ns per residue, so a pass over T terms that must build the
+# table breaks even near T = 1.25 n: at 1 no single pass pays for a table it
+# could do without.  Where the table is cached already, the exps waste up to
+# 20 ns per residue of n.  Measured at 1 against 16: `sums --n 2074757 --k 3`
+# 107-120 against 133-139 ms and 35 against 67 MB max RSS (no table);
+# `suite_cancellation_ratio(30000)` 0.91-1.26 against 0.88-1.27 s.
+_FEW_RATIO = 1
 
 
 def _pairwise(lo: int, hi: int, leaf):
@@ -181,8 +193,11 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     as `ResidueScan.witness_block` does.
 
     When count * len(ks) * _FEW_RATIO <= n, each leaf takes e(k*w/n) from
-    `_roots` on its own len(ks) x block indices, 24 B per term: at most
-    1.5 n B per worker, against the table's 16 n B.  Otherwise it gathers.
+    `_roots`, on the len(ks) x block indices in chunks of whole rows of at
+    most _LEAF terms (one row when the block is longer): 24 B * _LEAF of
+    scratch per worker.  Each row's `.sum()` is the pairwise sum of that
+    row alone, so the chunking leaves the bits as they are.  Otherwise it
+    gathers.
 
     Within a block, the index k*w mod n of a k whose residue mod n is one
     more than the previous k's is carried from it: adding w < n to an
@@ -207,13 +222,16 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
             return array[lo:hi]
 
     krs = [k % n for k in ks]
-    if count == 0:
+    if count == 0 or not krs:
         return [0j] * len(krs)
     if count * len(krs) * _FEW_RATIO <= n:
         kcol = np.array(krs, np.int64)[:, None]
 
         def few(lo, hi):
-            return _roots((kcol * residues(lo, hi) % n).astype(np.complex128), n).sum(axis=1)
+            ws = residues(lo, hi)
+            rows = max(1, _LEAF // len(ws))  # the ks of one chunk: at most _LEAF terms
+            return np.concatenate([_roots((kcol[r : r + rows] * ws % n).astype(np.complex128), n).sum(axis=1)
+                                   for r in range(0, len(krs), rows)])
 
         return _pairwise_blocks(count, few).tolist()
     table = _root_table(n)
@@ -355,10 +373,16 @@ def _solutions(n: int, tables) -> np.ndarray:
     bool array of length q; by CRT the set is their product.  Candidates
     w = r + q0 * t run over the members r of the largest component and all
     t < n / q0, laid out t-major so that they come ascending, and are
-    sieved through the other components' masks.
+    sieved through the other components' masks.  DomainError, before they
+    are built, when their 8 B each exceed ROOT_TABLE_BYTES.
     """
     q0, mask0 = tables[0]
-    cand = (np.arange(0, n, q0, dtype=np.int64)[:, None] + np.flatnonzero(mask0)).ravel()
+    members = np.flatnonzero(mask0)
+    size = 8 * (n // q0) * len(members)
+    if size > ROOT_TABLE_BYTES:
+        raise DomainError(f"the candidate solutions mod n = {n} need {size} bytes, "
+                          f"past the budget of {ROOT_TABLE_BYTES}")
+    cand = (np.arange(0, n, q0, dtype=np.int64)[:, None] + members).ravel()
     for q, mask in tables[1:]:
         cand = cand[mask[cand % q]]
     return cand
@@ -381,7 +405,11 @@ class CancellationSum:
 def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     """The solutions, ascending, are the CRT product of those mod each prime
     power q || n, found from w**alpha mod q for every residue of q
-    (`_solutions`)."""
+    (`_solutions`, which bounds their number).  One k over at most n
+    solutions takes the few-term leaf of `_phase_sums`, so no root table
+    is built and none is checked: at 2146654199 = 46327 * 46337, alpha = 2
+    has 4 solutions and is summed, and alpha = lambda(n), whose solutions
+    are all the units, is refused before its candidates exist."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if alpha < 1:
@@ -389,7 +417,6 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     if math.gcd(b, n) != 1:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
-    _check_root_table(n)
     sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(factorize(n))])
     (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)

@@ -37,6 +37,7 @@ BACH_N_MAX = 1_000_000
 FIGURE_N = 1_056_331
 FIGURE_BINS = 10_000
 TREND_MAGNITUDES = (10**3, 10**4, 10**5, 10**6)
+WEYL_SPARSE_N = 2_074_757  # 6 strong liars against 2,071,674 witnesses
 IMPRIMITIVE_N_MAX = 300
 IMPRIMITIVE_K_MAX = 20
 RATIO_N_MAX = 100_000
@@ -437,6 +438,50 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
     return [SuiteResult("trend", len(rows), [decreasing_d, decreasing_r].count(False), summary, findings)]
 
 
+def suite_weyl_routes(n_max: int = SUM_N_MAX, k_max: int = SUM_K_MAX, large=None) -> list[SuiteResult]:
+    """S_k over the witnesses, k = 1..k_max, by two routes: the unit sum less
+    the strong-liar sum that `weyl` and `scan` print (`equidist._weyl_sums`),
+    and the term-by-term sum over the witness blocks.  They must agree
+    within the error budgets of the values compared (n * 2**-50 for each
+    phase sum; c_n(k) is exact) at every odd composite n <= n_max and at
+    the large moduli: by default the trend moduli, FIGURE_N and
+    WEYL_SPARSE_N.  Hard.
+
+    Both routes read the same liar sets, which the partition suite checks
+    against the pow route, so this checks the sums, not membership.  The
+    summary gives the worst residual/budget and the fewest significant
+    digits of |S_k| that the routes share, log10(|S_k| / residual).
+    """
+    if large is None:
+        large = [equidist.least_odd_composite_at_least(m) for m in TREND_MAGNITUDES]
+        large += [FIGURE_N, WEYL_SPARSE_N]
+    ns = [n for n in range(9, n_max + 1, 2) if not is_prime(n)] + list(large)
+    ks = range(1, k_max + 1)
+    failures = 0
+    worst, worst_at = 0.0, 0
+    fewest, fewest_at = math.inf, (0, 0, 0.0)
+    for n in ns:
+        scan = classify_all(n)
+        direct = expsums._phase_sums(scan.witness_block, ks, n, scan.counts.witness)
+        for k, s, z in zip(ks, equidist._weyl_sums(scan, k_max), direct):
+            diff = abs(s - z)
+            values = (expsums._csum(s, scan.counts.strong_liars, n), expsums._csum(z, scan.counts.witness, n))
+            failures += not expsums.agrees(diff, *values)
+            ratio = expsums.budget_ratio(diff, *values)
+            if ratio > worst:
+                worst, worst_at = ratio, n
+            if diff:  # the digits of |S_k| that the routes share
+                digits = math.log10(abs(s) / diff) if s else 0.0
+                if digits < fewest:
+                    fewest, fewest_at = digits, (n, k, abs(s))
+    n, k, mag = fewest_at
+    summary = (f"|S_k| as c_n(k) minus the liar sum == the witness sum {_AGREEMENT_RULE}, "
+               f"odd composite n <= {n_max} and {len(large)} large moduli, k <= {k_max}: "
+               f"worst residual/budget {worst:.3f} (n = {worst_at}); fewest digits held "
+               f"{fewest:.1f} (n = {n}, k = {k}, |S_k| = {mag:.3e})")
+    return [SuiteResult("weyl-routes", len(ns) * len(ks), failures, summary)]
+
+
 def suite_imprimitive(n_max: int = IMPRIMITIVE_N_MAX, k_max: int = IMPRIMITIVE_K_MAX) -> list[SuiteResult]:
     """Conductor-based reduction vs the unreduced sum for every nontrivial
     imprimitive character mod n <= n_max and k <= k_max, both sides from
@@ -665,6 +710,7 @@ _REGISTRY = {
     "bach": suite_bach,
     "figure1": suite_figure_histogram,
     "trend": suite_trend,
+    "weyl-routes": suite_weyl_routes,
     "imprimitive": suite_imprimitive,
     "cancel-ratio": suite_cancellation_ratio,
     "arith": suite_arith,

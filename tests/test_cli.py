@@ -1,11 +1,14 @@
+import cmath
 import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,7 +53,8 @@ class TestBasicCommands:
         """The 16 B per residue of the e(m/n) table are refused before it
         is allocated, and so is every n-sized array of the same command: at
         2146654199 under the default budget (34 GB), and at 1056331 under a
-        budget of 16 * 10**6 bytes."""
+        budget of 16 * 10**6 bytes, where the 263,538 liars at 10 ks are
+        more terms than n, so `weyl` takes the table."""
         from mrwitness import characters, expsums
 
         def refused(*argv):
@@ -60,23 +64,68 @@ class TestBasicCommands:
         def fail(*args):
             raise AssertionError("reached past the budget check")
 
-        refused("weyl", "--n", "2146654199", "--k", "1")
         with monkeypatch.context() as m:
-            # gauss builds the value table, and ramanujan and cancel factor
-            # n, just before their first n-sized array: a late check fails here
+            # gauss builds the value table, and ramanujan factors n, just
+            # before their first n-sized array: a late check fails here
             m.setattr(characters.DirichletCharacter, "value_table", fail)
             m.setattr(expsums, "factorize", fail)
             refused("gauss", "--n", "2146654199", "--char", "1", "--k", "1")
             refused("ramanujan", "--n", "2146654199", "--k", "1")
-            refused("cancel", "--n", "2146654199", "--alpha", "2", "--b", "4", "--k", "1")
-            lam = 46326 * 46336 // 2  # lambda(46327 * 46337): every unit solves w**lam = 1
-            refused("cancel", "--n", "2146654199", "--alpha", str(lam), "--b", "1", "--k", "1")
         monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 10**6)
         expsums._root_table.cache_clear()
-        assert run_cli("weyl", "--n", "1056331", "--k", "1") == (1, "")
+        assert run_cli("weyl", "--n", "1056331", "--k", "10") == (1, "")
         assert "needs 16901296 bytes" in capsys.readouterr().err
         monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 1056331)
-        assert run_cli("weyl", "--n", "1056331", "--k", "1")[0] == 0
+        assert run_cli("weyl", "--n", "1056331", "--k", "10")[0] == 0
+
+    def test_weyl_past_the_root_table_budget_sums_two_liars(self):
+        """2146654199 = 46327 * 46337 has 2 strong liars, 1 and n - 1, so
+        S_k = c_n(k) - 2 cos(2 pi k / n) needs no root table."""
+        from mrwitness import WitnessClass, classify, classify_all
+        from mrwitness.arith import factorize
+        from mrwitness.expsums import ramanujan_closed
+
+        n = 2146654199
+        counts = classify_all(n).counts
+        assert counts.strong_liars == 2
+        assert classify(n, 1).category is WitnessClass.DTH_ROOT
+        assert classify(n, n - 1).category is WitnessClass.MINUS_ONE
+        code, out = run_cli("weyl", "--n", str(n), "--k", "10")
+        assert code == 0
+        fac = factorize(n)
+        want = ["k,magnitude,ratio"]
+        for k in range(1, 11):
+            mag = abs(ramanujan_closed(fac, k) - 2 * math.cos(2 * math.pi * k / n))
+            want.append(f"{k},{mag:.12g},{mag / counts.witness:.12g}")
+        assert out.splitlines() == want
+
+    def test_cancel_past_the_root_table_budget(self, capsys):
+        """At 2146654199 = 46327 * 46337 the 4 square roots of 4 are summed
+        one by one with no root table, and the character average, which
+        needs one, is skipped with a note on stderr.  At alpha = lambda(n)
+        every unit is a solution: the 8 B candidates of 46327 * 46336 of
+        them are refused before they are built."""
+        p, q = 46327, 46337
+        n = p * q
+        code, out = run_cli("cancel", "--n", str(n), "--alpha", "2", "--b", "4", "--k", "1")
+        assert code == 0
+        assert "character average skipped" in capsys.readouterr().err
+        roots = [a + p * ((b - a) * pow(p, -1, q) % q) for a in (2, p - 2) for b in (2, q - 2)]
+        assert all(w * w % n == 4 for w in roots)
+        want = sum(cmath.exp(2j * math.pi * w / n) for w in roots)
+        got = dict(line.split("=") for line in out.splitlines())
+        assert list(got) == ["solution_count", "direct_re", "direct_im", "sqrt_n_ratio"]
+        assert int(got["solution_count"]) == 4
+        assert abs(complex(float(got["direct_re"]), float(got["direct_im"])) - want) < 1e-9
+        lam = (p - 1) * (q - 1) // 2  # lambda(n): every unit solves w**lam = 1
+        tracemalloc.start()
+        try:
+            assert run_cli("cancel", "--n", str(n), "--alpha", str(lam), "--b", "1", "--k", "1") == (1, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"need {8 * p * (q - 1)} bytes" in capsys.readouterr().err
+        assert peak < 16 * 2**20
 
     def test_statistics_of_a_prime_near_2_31_exit_1(self, capsys, monkeypatch):
         """Refused from Monier's counts, not by a 16 GiB liar allocation."""
@@ -399,9 +448,9 @@ class TestVerifyCommand:
         ticks = itertools.count()
         monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 2.0))
         code, out = run_cli("verify")
-        assert code == 0 and len(out.splitlines()) == len(suites.SUITE_NAMES) == 14
+        assert code == 0 and len(out.splitlines()) == len(suites.SUITE_NAMES) == 15
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == len(stubs) == 12
+        assert len(err) == len(stubs) == 13
         assert all(line.endswith(" elapsed 2.0s") for line in err)
         assert "suite partition, rabin elapsed 2.0s" in err
         assert "suite cancellation, additivity elapsed 2.0s" in err
@@ -503,5 +552,13 @@ class TestThreads:
 
     @pytest.mark.parametrize("env, expected", _PRECEDENCE)
     def test_weyl_worker_precedence(self, env, expected, monkeypatch):
-        """The phase-sum blocks: 34510 witnesses at 40001 make two."""
-        self._check_precedence(["weyl", "--n", "40001", "--k", "2"], env, expected, monkeypatch)
+        """The phase-sum blocks of the liar sum: the 263,538 liars of
+        1056331 at 10 ks are more terms than n, so they gather, in 16
+        blocks."""
+        self._check_precedence(["weyl", "--n", "1056331", "--k", "10"], env, expected, monkeypatch)
+
+    @pytest.mark.parametrize("env, expected", _PRECEDENCE)
+    def test_sums_worker_precedence(self, env, expected, monkeypatch):
+        """The phase-sum blocks of the witness sum: 34510 witnesses at 40001
+        make two; the other sets fit in one block each."""
+        self._check_precedence(["sums", "--n", "40001", "--k", "2"], env, expected, monkeypatch)

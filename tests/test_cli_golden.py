@@ -48,12 +48,22 @@ bounds since the Mobius divisor identity left that suite and its seeded
 semiprimes for Brent's rho came in; it is not among the commands here,
 because that suite takes about 12 s, and the "Verify suites" step of
 .github/workflows/tier1.yml diffs it instead.
-weyl_2074757.txt and sums_2074757.txt are what commit 89fa633 printed
-for `weyl --n 2074757 --k 10` and `sums --n 2074757 --k 3` from its
-witness list: the phase sums over the 2,071,674 witnesses of that
-modulus, in many blocks, that the sorted non-witnesses now give; the
-"Console script" step of .github/workflows/tier1.yml diffs both,
+sums_2074757.txt is what commit 89fa633 printed for
+`sums --n 2074757 --k 3` from its witness list: the phase sums over the
+2,071,674 witnesses of that modulus, in many blocks, that the sorted
+non-witnesses now give.  weyl_2074757.txt holds `weyl --n 2074757 --k 10`;
+the "Console script" step of .github/workflows/tier1.yml diffs both,
 threaded and with WITNESS_THREADS=1.
+The Weyl cells, |S_k| and |S_k| / #W, of weyl_200005.txt,
+weyl_2074757.txt, scan.txt and scan_sparse.txt are not what any commit
+printed: each is the long-double reference of tests/weyl_reference.py,
+summed over every witness, rounded to 12 digits.  `weyl` and `scan` take
+S_k as c_n(k) less the strong-liar sum, which holds those digits; the
+witness sums that earlier commits printed were off by up to 1.5e-10,
+the shared rounding of the angle fl(2 pi) * m / n over 2 * 10**6 terms.
+weyl_1056331.txt, whose cells the reference confirmed, is as printed.
+verify_weyl_routes.txt is what `verify --suite weyl-routes` prints at its
+default bounds.
 The three sums_*.txt files print shared_factor_sum.error_budget as 0.0
 since that sum, the exact closed form -c_n(k), carries no budget; every
 other byte is as the commits above printed it.
@@ -126,6 +136,7 @@ def _commands():
     yield "verify_trend", ["verify", "--suite", "trend"]
     yield "verify_figure1", ["verify", "--suite", "figure1"]
     yield "verify_characters", ["verify", "--suite", "characters"]
+    yield "verify_weyl_routes", ["verify", "--suite", "weyl-routes"]
 
 
 COMMANDS = dict(_commands())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mrwitness import _scan, equidist, expsums
 from mrwitness.errors import DomainError
-from mrwitness.witness import classify_all
+from mrwitness.witness import ResidueScan, classify_all
 
 
 class TestHistogram:
@@ -150,6 +150,25 @@ class TestWeylBattery:
         assert rows[0].magnitude == pytest.approx(expected, abs=1e-12)
         assert rows[0].ratio == pytest.approx(expected / 4, abs=1e-12)
         assert [r.k for r in rows] == [1, 2]
+
+    def test_sums_the_liars_not_the_witnesses(self, monkeypatch):
+        """At 2074757 the one phase-sum call sees the 6 strong liars, and
+        no witness block is built."""
+
+        def fail(*args):
+            raise AssertionError("a witness block was built")
+
+        sizes = []
+        original = equidist._phase_sums
+
+        def phase_sums(residues, ks, n, *args):
+            sizes.append(len(residues))
+            return original(residues, ks, n, *args)
+
+        monkeypatch.setattr(ResidueScan, "witness_block", fail)
+        monkeypatch.setattr(equidist, "_phase_sums", phase_sums)
+        assert len(equidist.weyl_battery(2074757, 10)) == 10
+        assert sizes == [6]
 
     @given(st.integers(min_value=5, max_value=500))
     @settings(max_examples=60, deadline=None)

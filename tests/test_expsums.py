@@ -246,6 +246,15 @@ class TestCancellation:
         with pytest.raises(DomainError):
             expsums.cancellation_sum(9, 0, 7, 1)
 
+    def test_candidates_bounded_before_they_are_built(self, monkeypatch):
+        """At 15 and alpha = lambda(15) = 4 the 8 units solve; they come
+        from 3 * 4 candidates w = r + 5t, 96 B against ROOT_TABLE_BYTES."""
+        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 95)
+        with pytest.raises(DomainError, match="^the candidate solutions mod n = 15 need 96 bytes"):
+            expsums.cancellation_sum(15, 4, 1, 1)
+        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 96)
+        assert list(expsums.cancellation_sum(15, 4, 1, 1).solutions) == [1, 2, 4, 7, 8, 11, 13, 14]
+
     @given(st.integers(min_value=2, max_value=250), st.integers(min_value=1, max_value=8), st.data())
     @settings(max_examples=120, deadline=None)
     def test_solutions_solve(self, n, alpha, data):

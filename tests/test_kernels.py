@@ -270,17 +270,38 @@ class TestBlockWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bitwise_for_any_worker_count(self, workers, monkeypatch):
-        """Sets of one to four blocks on the gather leaf, and one of four
-        blocks on the few-term leaf: 2 * (3 * _LEAF + 5) terms against
-        n / _FEW_RATIO = 200000."""
+        """Sets of one to four blocks on each leaf: at 100003, 9 ks over
+        at least _LEAF terms are more terms than n and gather; at 3200003
+        they are fewer and take the few-term leaf, whose blocks of about
+        _LEAF / 2 (2 * _LEAF + 1 terms) take two ks per chunk."""
         self._workers(monkeypatch, workers)
-        n = 1_000_003
         rng = np.random.default_rng(17)
         leaf = expsums._LEAF
-        for count in (leaf, leaf + 1, 3 * leaf + 5):
-            _check_bits(np.sort(rng.choice(n, count, replace=False)), n, _mixed_ks(n), few=False)
+        for n, few in ((100_003, False), (3_200_003, True)):
+            for count in (leaf, leaf + 1, 2 * leaf + 1, 3 * leaf + 5):
+                ks = _mixed_ks(n)
+                assert (count * len(ks) * expsums._FEW_RATIO <= n) == few
+                _check_bits(np.sort(rng.choice(n, count, replace=False)), n, ks, few=few)
+
+    def test_many_ks_chunk_the_few_term_leaf(self, monkeypatch):
+        """1000 ks over 3200 terms at 3200003 take the few-term leaf in
+        chunks of 10 ks: no `_roots` call sees more than _LEAF terms, and
+        the sums are the table's bits."""
         n = 3_200_003
-        _check_bits(np.sort(rng.choice(n, 3 * leaf + 5, replace=False)), n, [3, n + 1], few=True)
+        ws = np.sort(np.random.default_rng(19).choice(n, 3200, replace=False))
+        ks = range(1, 1001)
+        table = expsums._root_table(n)
+        want = [complex(table[k * ws % n].sum()) for k in ks]
+        sizes = []
+        original = expsums._roots
+
+        def roots(z, n):
+            sizes.append(z.size)
+            return original(z, n)
+
+        monkeypatch.setattr(expsums, "_roots", roots)
+        assert _bits(expsums._phase_sums(ws, ks, n)) == _bits(want)
+        assert sizes == [32000] * 100
 
     def test_other_threads_run_inline(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mrwitness import _scan, arith, characters, expsums, suites, witness
+from mrwitness import _scan, arith, characters, equidist, expsums, suites, witness
 from mrwitness.arith import Factorization, euler_phi, factorize, is_prime
 
 
@@ -419,6 +419,42 @@ def test_cancellation_ratio_catches_a_zero_envelope(monkeypatch):
     monkeypatch.setattr(suites, "sigma", lambda k: 0)
     (r,) = suites.suite_cancellation_ratio(200)
     assert not r.ok and r.failures == r.checked
+
+
+def test_weyl_routes_pass_and_name_their_worst_cell():
+    """At the small moduli alone the summary names the cell with the
+    fewest shared digits, and log10(|S_k| / residual) there is that count."""
+    (r,) = suites.suite_weyl_routes(n_max=400, large=[])
+    assert r.ok and r.checked == 10 * sum(not is_prime(n) for n in range(9, 401, 2))
+    match = re.search(r"fewest digits held ([0-9.]+) \(n = (\d+), k = (\d+),", r.summary)
+    n, k = int(match[2]), int(match[3])
+    scan = witness.classify_all(n)
+    s = equidist._weyl_sums(scan, k)[-1]
+    z = expsums._phase_sums(scan.witness_block, [k], n, scan.counts.witness)[0]
+    assert float(match[1]) == pytest.approx(math.log10(abs(s) / abs(s - z)), abs=0.05)
+
+
+def test_weyl_routes_catch_a_liar_sum_off_by_twice_its_budget(monkeypatch):
+    """One liar sum of 2074757 (k = 1) moved by twice its own budget
+    n * 2**-50, in the direction that widens the routes' residual, is past
+    the budget of the comparison (both sums' budgets, 2 n * 2**-50)."""
+    n = 2_074_757
+    (clean,) = suites.suite_weyl_routes(n_max=0, large=[n])
+    assert clean.ok and clean.checked == 10
+    scan = witness.classify_all(n)
+    residual = (equidist._weyl_sums(scan, 1)[0]
+                - expsums._phase_sums(scan.witness_block, [1], n, scan.counts.witness)[0])
+    shift = 2 * n * expsums.BUDGET_SCALE * residual / abs(residual)
+    original = equidist._phase_sums
+
+    def perturbed(residues, ks, modulus, *args):
+        sums = original(residues, ks, modulus, *args)
+        sums[0] -= shift  # so S_1 = c_n(1) - (liar sum) moves by +shift
+        return sums
+
+    monkeypatch.setattr(equidist, "_phase_sums", perturbed)
+    (r,) = suites.suite_weyl_routes(n_max=0, large=[n])
+    assert not r.ok and r.failures == 1
 
 
 def test_characters_passes():
