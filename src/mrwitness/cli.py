@@ -239,14 +239,12 @@ def cmd_gauss(args) -> int:
 def cmd_cancel(args) -> int:
     """The direct sum and its character average; the direct sum alone, with
     a note on stderr, where the average's e(m/n) table is past its budget."""
+    direct = expsums.cancellation_sum(args.n, args.alpha, args.b, args.k)
     try:
-        expsums._check_root_table(args.n)
+        dual = expsums.character_average(direct)
     except DomainError as exc:
-        direct, dual = expsums.cancellation_sum(args.n, args.alpha, args.b, args.k), None
+        dual = None
         print(f"character average skipped: {exc}", file=sys.stderr)
-    else:
-        dual = expsums.cancellation_sum_dual(args.n, args.alpha, args.b, args.k)
-        direct = dual.direct
     rows = [("solution_count", direct.solution_count),
             ("direct_re", direct.total.real),
             ("direct_im", direct.total.imag)]

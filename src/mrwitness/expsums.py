@@ -26,7 +26,7 @@ pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
 full-array `table[idx].sum()` bit for bit, while the index, scratch and
 gathered arrays stay block-sized.  A call of at most n terms over all
-its ks (`_FEW_RATIO`) builds no table: each e(k*w/n) comes from `_roots`,
+its ks builds no table: each e(k*w/n) comes from `_roots`,
 which builds the table too, so both leaves give the same bits.  That leaf
 takes the ks in chunks of at most _LEAF terms, 24 B of scratch each, so
 it holds at most 24 B * _LEAF per worker against the table's 16 n B.  A
@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._scan import _reduce, pow_all_numpy
+from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
 from .arith import Factorization, factorize
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .concurrency import ordered_map
@@ -57,7 +57,7 @@ from .errors import DomainError
 from .witness import classify_all
 
 MAX_FREQUENCY = 10**6  # |k| beyond this is outside the supported desk scale
-ROOT_TABLE_BYTES = 2**30  # e(m/n) table, 16 B per residue (n <= 2**26); `_solutions` candidates, 8 B each
+ROOT_TABLE_BYTES = 2**30  # e(m/n) table, 16 B per residue (n <= 2**26); cancellation power tables and candidates
 
 BUDGET_SCALE = 2.0**-50
 
@@ -141,15 +141,14 @@ def _check_k(n: int, k: int) -> int:
 
 
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
-# `_phase_sums` takes its own exps when terms * len(ks) * _FEW_RATIO <= n.  At
-# n = 2000003 on a 2-CPU VM the exp costs 30-32 ns per term, the gather 9-11 ns
-# and the table 24-25 ns per residue, so a pass over T terms that must build the
-# table breaks even near T = 1.25 n: at 1 no single pass pays for a table it
-# could do without.  Where the table is cached already, the exps waste up to
-# 20 ns per residue of n.  Measured at 1 against 16: `sums --n 2074757 --k 3`
-# 107-120 against 133-139 ms and 35 against 67 MB max RSS (no table);
-# `suite_cancellation_ratio(30000)` 0.91-1.26 against 0.88-1.27 s.
-_FEW_RATIO = 1
+# `_phase_sums` takes its own exps when terms * len(ks) <= n.  At n = 2000003 on
+# a 2-CPU VM the exp costs 30-32 ns per term, the gather 9-11 ns and the table
+# 24-25 ns per residue, so a pass over T terms that must build the table breaks
+# even near T = 1.25 n: below n no single pass pays for a table it could do
+# without.  Where the table is cached already, the exps waste up to 20 ns per
+# residue of n.  Measured against the former rule, terms * len(ks) * 16 <= n:
+# `sums --n 2074757 --k 3` 107-120 against 133-139 ms and 35 against 67 MB max
+# RSS (no table); `suite_cancellation_ratio(30000)` 0.91-1.26 against 0.88-1.27 s.
 
 
 def _pairwise(lo: int, hi: int, leaf):
@@ -190,21 +189,23 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
 
     residues is an array of them, or, with their count, a block source:
     residues(lo, hi) gives those of ranks [lo, hi) of the ascending set,
-    as `ResidueScan.witness_block` does.
+    as `ResidueScan.witness_block` does.  n must be below 2**31, so that
+    every product (k mod n) * w is below n**2 < 2**62: each caller refuses
+    larger n first.
 
-    When count * len(ks) * _FEW_RATIO <= n, each leaf takes e(k*w/n) from
-    `_roots`, on the len(ks) x block indices in chunks of whole rows of at
-    most _LEAF terms (one row when the block is longer): 24 B * _LEAF of
-    scratch per worker.  Each row's `.sum()` is the pairwise sum of that
-    row alone, so the chunking leaves the bits as they are.  Otherwise it
-    gathers.
+    When count * len(ks) <= n, each leaf takes e(k*w/n) from `_roots`, on
+    the len(ks) x block products (k mod n) * w mod n, in chunks of whole
+    rows of at most _LEAF terms (one row when the block is longer):
+    24 B * _LEAF of scratch per worker.  Each row's `.sum()` is the
+    pairwise sum of that row alone, so the chunking leaves the bits as they
+    are.  Otherwise it gathers.
 
     Within a block, the index k*w mod n of a k whose residue mod n is one
     more than the previous k's is carried from it: adding w < n to an
     index below n gives a sum t < 2n, and t mod n is the smaller of t and
     t - n read as unsigned, where t - n < 0 wraps above 2**63.  Any other
-    k reduces (k mod n) * w afresh, which is below n**2 < 2**62 for
-    n < 2**31, so the floor-divide reduction is exact and gives the same
+    k reduces (k mod n) * w afresh, which is below n**2 < 2**62, so the
+    floor-divide reduction is exact and gives the same
     indices as `%`.  Each k then gathers the same table entries in the
     same order and sums them on the same tree.
 
@@ -224,7 +225,7 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     krs = [k % n for k in ks]
     if count == 0 or not krs:
         return [0j] * len(krs)
-    if count * len(krs) * _FEW_RATIO <= n:
+    if count * len(krs) <= n:
         kcol = np.array(krs, np.int64)[:, None]
 
         def few(lo, hi):
@@ -405,19 +406,30 @@ class CancellationSum:
 def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     """The solutions, ascending, are the CRT product of those mod each prime
     power q || n, found from w**alpha mod q for every residue of q
-    (`_solutions`, which bounds their number).  One k over at most n
-    solutions takes the few-term leaf of `_phase_sums`, so no root table
-    is built and none is checked: at 2146654199 = 46327 * 46337, alpha = 2
-    has 4 solutions and is summed, and alpha = lambda(n), whose solutions
-    are all the units, is refused before its candidates exist."""
+    (`_solutions`, which bounds their number).  Those tables take 9 B per
+    residue of the largest q, 8 for the powers and 1 for the mask, and are
+    refused past ROOT_TABLE_BYTES before any is built; so is n >= 2**31,
+    past the exact int64 products of `pow_all_numpy` and `_phase_sums`.
+    One k over at most n solutions takes the few-term leaf of
+    `_phase_sums`, so no root table is built and none is checked: at
+    2146654199 = 46327 * 46337, alpha = 2 has 4 solutions and is summed,
+    and alpha = lambda(n), whose solutions are all the units, is refused
+    before its candidates exist."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if n >= _BATCH_LIMIT:
+        raise DomainError(f"cancellation sums support n < 2**31, got {n}")
     if alpha < 1:
         raise DomainError(f"need alpha >= 1, got {alpha}")
     if math.gcd(b, n) != 1:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
-    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in _components(factorize(n))])
+    comps = _components(factorize(n))
+    size = 9 * comps[0]
+    if size > ROOT_TABLE_BYTES:
+        raise DomainError(f"the w**alpha table mod {comps[0]} of n = {n} needs {size} bytes, "
+                          f"past the budget of {ROOT_TABLE_BYTES}")
+    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in comps])
     (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)
     return CancellationSum(n, alpha, b, k, total, len(sols), total.magnitude() / math.sqrt(n), sols)
@@ -458,8 +470,12 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     return group.total_order * np.fft.ifftn(grid.reshape(group.orders or (1,))).ravel()
 
 
-def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellation:
-    direct = cancellation_sum(n, alpha, b, k)
+def character_average(direct: CancellationSum) -> DualCancellation:
+    """The direct sum set beside its character-orthogonality average.
+    DomainError, before the character group is built, when the average's
+    e(m/n) table is past ROOT_TABLE_BYTES."""
+    n, alpha, b, k = direct.n, direct.alpha, direct.b, direct.k
+    _check_root_table(n)
     group = character_group(n)
     taus = gauss_sums(group, k)
     chi_binv = group.values_at(pow(b, -1, n))
@@ -467,6 +483,10 @@ def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellatio
     via = _csum(z, n, n)
     diff = float(abs(z - direct.total.value))
     return DualCancellation(direct, via, diff, agrees(diff, direct.total, via))
+
+
+def cancellation_sum_dual(n: int, alpha: int, b: int, k: int) -> DualCancellation:
+    return character_average(cancellation_sum(n, alpha, b, k))
 
 
 @dataclass(frozen=True)

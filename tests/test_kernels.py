@@ -131,7 +131,7 @@ class TestPhaseSums:
             ks = _mixed_ks(n)
             _check_bits(ws, n, ks)
             for liars in map(np.sort, scan.liars):
-                few = len(liars) * len(ks) * expsums._FEW_RATIO <= n
+                few = len(liars) * len(ks) <= n
                 _check_bits(liars, n, ks, few)
                 leaves.add(few)
         assert leaves == {False, True}
@@ -280,7 +280,7 @@ class TestBlockWorkers:
         for n, few in ((100_003, False), (3_200_003, True)):
             for count in (leaf, leaf + 1, 2 * leaf + 1, 3 * leaf + 5):
                 ks = _mixed_ks(n)
-                assert (count * len(ks) * expsums._FEW_RATIO <= n) == few
+                assert (count * len(ks) <= n) == few
                 _check_bits(np.sort(rng.choice(n, count, replace=False)), n, ks, few=few)
 
     def test_many_ks_chunk_the_few_term_leaf(self, monkeypatch):
