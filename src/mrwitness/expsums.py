@@ -367,6 +367,16 @@ def _components(fac) -> list[int]:
     return sorted((p**e for p, e in fac.factors), reverse=True)
 
 
+def _check_power_tables(n: int, comps) -> None:
+    """DomainError when tables of w**e mod q for every residue of each
+    prime power q || n, 8 B per residue and 1 B for a mask beside it,
+    exceed ROOT_TABLE_BYTES: asked before any `pow_all_numpy` call."""
+    size = 9 * sum(comps)
+    if size > ROOT_TABLE_BYTES:
+        raise DomainError(f"the power tables mod the prime powers of n = {n} need {size} bytes, "
+                          f"past the budget of {ROOT_TABLE_BYTES}")
+
+
 def _solutions(n: int, tables) -> np.ndarray:
     """The w in [0, n), ascending, with mask[w % q] true for every (q, mask).
 
@@ -406,12 +416,11 @@ class CancellationSum:
 def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     """The solutions, ascending, are the CRT product of those mod each prime
     power q || n, found from w**alpha mod q for every residue of q
-    (`_solutions`, which bounds their number).  Those tables take 9 B per
-    residue of the largest q, 8 for the powers and 1 for the mask, and are
-    refused past ROOT_TABLE_BYTES before any is built; so is n >= 2**31,
-    past the exact int64 products of `pow_all_numpy` and `_phase_sums`.
-    One k over at most n solutions takes the few-term leaf of
-    `_phase_sums`, so no root table is built and none is checked: at
+    (`_solutions`, which bounds their number).  Those tables are refused
+    past their budget before any is built (`_check_power_tables`), and so
+    is n >= 2**31, past the exact int64 products of `pow_all_numpy` and
+    `_phase_sums`.  One k over at most n solutions takes the few-term leaf
+    of `_phase_sums`, so no root table is built and none is checked: at
     2146654199 = 46327 * 46337, alpha = 2 has 4 solutions and is summed,
     and alpha = lambda(n), whose solutions are all the units, is refused
     before its candidates exist."""
@@ -425,10 +434,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
     comps = _components(factorize(n))
-    size = 9 * comps[0]
-    if size > ROOT_TABLE_BYTES:
-        raise DomainError(f"the w**alpha table mod {comps[0]} of n = {n} needs {size} bytes, "
-                          f"past the budget of {ROOT_TABLE_BYTES}")
+    _check_power_tables(n, comps)
     sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in comps])
     (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)
@@ -537,6 +543,7 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
         if _check_k(n, k) == 0:
             raise DomainError(f"k = {k} is divisible by n = {n}; the cancellation identity needs n to not divide k")
     comps = _components(scan.fac)
+    _check_power_tables(n, comps)
     powers = [pow_all_numpy(q, scan.d) for q in comps]
     root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
     stage_sets: list[np.ndarray] = []

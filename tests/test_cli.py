@@ -127,18 +127,21 @@ class TestBasicCommands:
         assert f"need {8 * p * (q - 1)} bytes" in capsys.readouterr().err
         assert peak < 16 * 2**20
 
-    def test_cancel_at_a_prime_near_2_31_exit_1(self, capsys):
-        """The w**alpha table of the one component 2147483629 would take
-        9 B per residue: refused before any of it is built."""
+    def test_power_tables_at_a_prime_near_2_31_exit_1(self, capsys):
+        """`cancel` and `sums` tabulate w**e mod each prime power of n, here
+        the one component 2147483629 at 9 B per residue: refused before
+        any of it is built."""
         n = 2147483629
-        tracemalloc.start()
-        try:
-            assert run_cli("cancel", "--n", str(n), "--alpha", "2", "--b", "4", "--k", "1") == (1, "")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert f"the w**alpha table mod {n} of n = {n} needs {9 * n} bytes" in capsys.readouterr().err
-        assert peak < 16 * 2**20
+        for argv in (["cancel", "--n", str(n), "--alpha", "2", "--b", "4", "--k", "1"],
+                     ["sums", "--n", str(n), "--k", "1"]):
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv) == (1, "")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert f"of n = {n} need {9 * n} bytes" in capsys.readouterr().err
+            assert peak < 16 * 2**20
 
     def test_cancel_past_2_31_exit_1(self, capsys):
         """65537 * 65539 has 4 square roots of 4 among 131,074 candidates,
