@@ -42,7 +42,10 @@ Shared kernels, each defined once here:
 * `_powers`: the power table of one generator (the liar subgroups here,
   the discrete-log tables of `characters`, which invert it);
 * `outer_sum`: one value per index vector, summed over components (the
-  CRT products here, character values and power indices in `characters`).
+  CRT products here, character values and power indices in `characters`);
+* `_roots`: e(m/n) = exp(2*pi*i*m/n), the one source of those bits (the
+  phase sums and root table of `expsums`, the character values of
+  `characters`, which cannot import `expsums`).
 
 The generators themselves come from the cached `arith.primitive_root`.
 """
@@ -53,7 +56,7 @@ import math
 
 import numpy as np
 
-from .arith import primitive_root
+from .arith import mr_split, primitive_root
 from .errors import DomainError
 
 CODE_WITNESS = 0
@@ -124,7 +127,7 @@ def liar_sets(n: int, d: int, factors) -> list[np.ndarray]:
     """
     if n >= _BATCH_LIMIT:
         raise DomainError(f"liar-set construction supports n < 2**31, got {n}")
-    levels = min(((p - 1) & -(p - 1)).bit_length() - 1 for p, _ in factors)
+    levels = min(mr_split(p)[1] for p, _ in factors)
     tables = []
     for p, e in factors:
         q = p**e
@@ -187,6 +190,13 @@ def _reduce(p: np.ndarray, n, quot: np.ndarray) -> None:
     np.floor_divide(p, n, out=quot)
     quot *= n
     p -= quot
+
+
+def _roots(z: np.ndarray, n: int) -> np.ndarray:
+    """e(m/n) in place of each m of the complex array z: the one source of these bits."""
+    z *= 2j * np.pi
+    z /= n
+    return np.exp(z, out=z)
 
 
 _BATCH_LIMIT = 2**31  # int64 products stay exact below this modulus (pow_all_numpy)

@@ -97,6 +97,11 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    @property
+    def phi(self) -> int:
+        """Euler's phi(n): the product of p**(e - 1) * (p - 1)."""
+        return math.prod([p ** (e - 1) * (p - 1) for p, e in self.factors])
+
     def reconstruct(self) -> int:
         out = 1
         for p, e in self.factors:
@@ -171,10 +176,7 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= w <= n with gcd(w, n) = 1."""
-    phi = 1
-    for p, e in factorize(n).factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
+    return factorize(n).phi
 
 
 def sigma(n: int) -> int:

@@ -22,7 +22,6 @@ searched.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from ._scan import _BATCH_LIMIT, _powers, outer_sum
+from ._scan import _BATCH_LIMIT, _powers, _roots, outer_sum
 from .arith import factorize, primitive_root
 from .errors import DomainError
 
@@ -138,8 +137,10 @@ class CharacterGroup:
         self.components = components
         self.orders = tuple(m for c in self.components for m in c.orders)
         self.total_order = math.prod(self.orders)  # = phi(n)
+        # a character's index is sum_i t_i * strides[i], the last exponent running fastest
+        self.strides = tuple(math.prod(self.orders[i + 1 :]) for i in range(len(self.orders)))
         self.exponent = math.lcm(*self.orders)
-        self._roots: np.ndarray | None = None
+        self._root_values: np.ndarray | None = None
         self._divisor_groups: dict[int, CharacterGroup] = {}
 
     def divisor_group(self, q: int) -> "CharacterGroup":
@@ -196,11 +197,10 @@ class CharacterGroup:
         return out
 
     def roots(self) -> np.ndarray:
-        """e(j/M) for j in [0, M), M the group exponent; built once."""
-        if self._roots is None:
-            M = self.exponent
-            self._roots = np.exp(2j * np.pi * np.arange(M) / M)
-        return self._roots
+        """e(j/M) for j in [0, M), M the group exponent, from `_scan._roots`; built once."""
+        if self._root_values is None:
+            self._root_values = _roots(np.arange(self.exponent, dtype=np.complex128), self.exponent)
+        return self._root_values
 
     def character(self, exponents) -> "DirichletCharacter":
         exps = tuple(int(t) % m for t, m in zip(exponents, self.orders, strict=True))
@@ -214,11 +214,7 @@ class CharacterGroup:
     def character_by_index(self, i: int) -> "DirichletCharacter":
         if not 0 <= i < self.total_order:
             raise DomainError(f"character index {i} out of range [0, {self.total_order})")
-        exps = []
-        for m in reversed(self.orders):
-            exps.append(i % m)
-            i //= m
-        return DirichletCharacter(self, tuple(reversed(exps)))
+        return DirichletCharacter(self, tuple(i // s % m for s, m in zip(self.strides, self.orders)))
 
     def values_at(self, w: int) -> np.ndarray:
         """chi(w) for every character, in index order."""
@@ -233,9 +229,8 @@ class CharacterGroup:
 
     def power_indices(self, alpha: int) -> np.ndarray:
         """Index of chi**alpha for every character index."""
-        strides = [math.prod(self.orders[i + 1 :]) for i in range(len(self.orders))]
         return outer_sum(
-            np.arange(m, dtype=np.int64) * alpha % m * s for m, s in zip(self.orders, strides)
+            np.arange(m, dtype=np.int64) * alpha % m * s for m, s in zip(self.orders, self.strides)
         )
 
 
@@ -259,10 +254,7 @@ class DirichletCharacter:
 
     @property
     def index(self) -> int:
-        i = 0
-        for t, m in zip(self.exponents, self.group.orders):
-            i = i * m + t
-        return i
+        return sum(t * s for t, s in zip(self.exponents, self.group.strides))
 
     @property
     def is_trivial(self) -> bool:
@@ -278,7 +270,7 @@ class DirichletCharacter:
             return 0j
         M = self.group.exponent
         num = sum(t * a * (M // m) for t, a, m in zip(self.exponents, logs, self.group.orders)) % M
-        return cmath.exp(2j * cmath.pi * (num / M))
+        return complex(_roots(np.array([num], np.complex128), M)[0])  # the bits of roots()[num]
 
     def __pow__(self, alpha: int) -> "DirichletCharacter":
         if alpha < 0:

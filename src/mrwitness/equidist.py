@@ -149,34 +149,33 @@ def star_discrepancy_points(points: np.ndarray) -> float:
     return float(np.maximum(i / N - x, x - (i - 1) / N).max())
 
 
-def _witness_discrepancy(scan: ResidueScan) -> float:
-    """D* of {w / n : w a witness}, from the two ends of each run of
-    consecutive witnesses; see star_discrepancy."""
+def _witness_discrepancy(scan: ResidueScan) -> tuple[float, int]:
+    """(D* of {w / n : w a witness}, the least witness), both read off the
+    runs of consecutive witnesses; see star_discrepancy."""
     n, N = scan.n, scan.counts.witness
     fences = np.concatenate(([-1], scan.nonwitnesses, [n]))
     gap = np.flatnonzero(np.diff(fences) > 1)  # a run lies between fences gap, gap + 1
     first = fences[gap] + 1
     last = fences[gap + 1] - 1
-    # witness w of that run has rank i = w + 1 - gap: `gap` non-witnesses lie below it
-    return float(max(((last + 1 - gap) / N - last / n).max(), (first / n - (first - gap) / N).max()))
+    # witness w of that run has rank i = w + 1 - gap: `gap` non-witnesses lie
+    # below it.  The numerators over N * n are below 2**62 for n < 2**31.
+    worst = max(int(((last + 1 - gap) * n - last * N).max()), int((first * N - (first - gap) * n).max()))
+    return worst / (N * n), int(first[0])
 
 
 def star_discrepancy(n: int) -> float:
     """D* of the normalized witness set of n: the maximum over the witnesses
-    w_1 < ... < w_N of i/N - w_i/n and w_i/n - (i-1)/N, equal as a float to
-    star_discrepancy_points(witnesses / n).
+    w_1 < ... < w_N of i/N - w_i/n and w_i/n - (i-1)/N, the exact rational
+    rounded once to a float.
 
     Only the two ends of each run of consecutive witnesses are evaluated.
     Along a run w and i both step by 1, so i/N - w/n rises and
     w/n - (i-1)/N falls by (n - N) / (n N) per step: the first peaks at
-    the run's last witness, the second at its first.  This holds for the
-    floats too.  N excludes every residue sharing a factor with composite
-    n, so n - N >= n - phi(n) >= sqrt(n) and each step is at least
-    n**-1.5 > 2**-46.5 for n < 2**31, far above the rounding of either
-    term (a few units of 2**-53), so the computed values are strictly
-    monotone within a run and the two maxima are the same floats.
+    the run's last witness, the second at its first.  Both are taken as
+    integer numerators over N * n, exact in int64, and their maximum is
+    divided once by Python's correctly rounded int / int.
     """
-    return _witness_discrepancy(_witness_scan(n))
+    return _witness_discrepancy(_witness_scan(n))[0]
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
     _check_k_max(k_max)
     full = _witness_scan(n)
     count = full.counts.witness
-    dstar = _witness_discrepancy(full)
+    dstar, least = _witness_discrepancy(full)
     ratios = tuple(abs(s) / count for s in _weyl_sums(full, k_max))
     flatness = None
     if bins is not None:
@@ -228,7 +227,7 @@ def scan_row(n: int, k_max: int, bins: int | None = None) -> ScanRow:
         witness_fraction=count / n,
         star_discrepancy=dstar,
         weyl_ratios=ratios,
-        least_witness=int(full.witness_block(0, 1)[0]),
+        least_witness=least,
         runtime_ms=ms,
         flatness=flatness,
     )

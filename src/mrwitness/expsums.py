@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._scan import _BATCH_LIMIT, _reduce, pow_all_numpy
+from ._scan import _BATCH_LIMIT, _reduce, _roots, pow_all_numpy
 from .arith import Factorization, factorize
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .concurrency import ordered_map
@@ -108,26 +108,24 @@ def budget_ratio(difference, *values):
     return difference / _budget(values)
 
 
+def _check_bytes(size: int, what: str) -> None:
+    """DomainError when `what` (a subject and its verb) takes size bytes,
+    past ROOT_TABLE_BYTES: asked before any of them is allocated."""
+    if size > ROOT_TABLE_BYTES:
+        raise DomainError(f"{what} {size} bytes, past the budget of {ROOT_TABLE_BYTES}")
+
+
 def _check_root_table(n: int) -> None:
-    """DomainError when the 16 * n bytes of the e(m/n) table of n exceed
-    ROOT_TABLE_BYTES: asked before any n-sized array of a phase sum."""
-    if 16 * n > ROOT_TABLE_BYTES:
-        raise DomainError(f"the e(m/n) table of n = {n} needs {16 * n} bytes, "
-                          f"past the budget of {ROOT_TABLE_BYTES} (n <= {ROOT_TABLE_BYTES // 16})")
-
-
-def _roots(z: np.ndarray, n: int) -> np.ndarray:
-    """e(m/n) in place of each m of the complex array z: the one source of these bits."""
-    z *= 2j * np.pi
-    z /= n
-    return np.exp(z, out=z)
+    """`_check_bytes` for the 16 B per residue of `_root_table(n)`: asked
+    before any n-sized array of a phase sum."""
+    _check_bytes(16 * n, f"the e(m/n) table of n = {n} needs")
 
 
 @lru_cache(maxsize=8)
 def _root_table(n: int) -> np.ndarray:
     """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
-    place in the one complex array, with no int64 ramp beside it, after
-    `_check_root_table`."""
+    place in the one complex array by `_roots`, with no int64 ramp beside
+    it, after `_check_root_table`."""
     _check_root_table(n)
     return _roots(np.arange(n, dtype=np.complex128), n)
 
@@ -211,10 +209,11 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
 
     Each thread keeps one pair of index and scratch arrays for all the
     leaves it runs in the call.  A fresh pair per leaf (512 KiB at
-    _LEAF) let glibc return the freed heap top to the system and fault it
-    back in for the next leaf: 18,000 minor page faults per
-    `weyl_battery(2067077, 10)` against about 600 with the pair kept
-    (glibc, Python 3.11, 2-CPU VM).
+    _LEAF) lets glibc return the freed heap top to the system and fault
+    it back in for the next leaf: three 10-k witness sums at 2074757 (the
+    gather leaf of `sums` and the weyl-routes suite), table cached, took
+    2,765-3,682 minor page faults against 1,802-2,134 with the pair kept
+    (glibc, Python 3.11, 2 workers on a 2-CPU VM).
     """
     if count is None:
         array, count = residues, len(residues)
@@ -362,19 +361,14 @@ def gauss_sum_reduced(chi: DirichletCharacter, k: int) -> GaussReduction:
     return GaussReduction(n, k, q, path, value, brute, diff, agrees(diff, value, brute))
 
 
-def _components(fac) -> list[int]:
-    """The prime powers q || n of the factorization of n, largest first."""
-    return sorted((p**e for p, e in fac.factors), reverse=True)
-
-
-def _check_power_tables(n: int, comps) -> None:
-    """DomainError when tables of w**e mod q for every residue of each
-    prime power q || n, 8 B per residue and 1 B for a mask beside it,
-    exceed ROOT_TABLE_BYTES: asked before any `pow_all_numpy` call."""
-    size = 9 * sum(comps)
-    if size > ROOT_TABLE_BYTES:
-        raise DomainError(f"the power tables mod the prime powers of n = {n} need {size} bytes, "
-                          f"past the budget of {ROOT_TABLE_BYTES}")
+def _power_tables(fac: Factorization, e: int) -> list[tuple[int, np.ndarray]]:
+    """(q, w**e mod q for every w in [0, q)) for each prime power q || n =
+    fac.n, largest q first, by `pow_all_numpy`.  DomainError, before any
+    is built, when they and a bool mask beside each (9 B per residue)
+    exceed ROOT_TABLE_BYTES."""
+    qs = sorted((p**a for p, a in fac.factors), reverse=True)
+    _check_bytes(9 * sum(qs), f"the power tables mod the prime powers of n = {fac.n} need")
+    return [(q, pow_all_numpy(q, e)) for q in qs]
 
 
 def _solutions(n: int, tables) -> np.ndarray:
@@ -389,10 +383,7 @@ def _solutions(n: int, tables) -> np.ndarray:
     """
     q0, mask0 = tables[0]
     members = np.flatnonzero(mask0)
-    size = 8 * (n // q0) * len(members)
-    if size > ROOT_TABLE_BYTES:
-        raise DomainError(f"the candidate solutions mod n = {n} need {size} bytes, "
-                          f"past the budget of {ROOT_TABLE_BYTES}")
+    _check_bytes(8 * (n // q0) * len(members), f"the candidate solutions mod n = {n} need")
     cand = (np.arange(0, n, q0, dtype=np.int64)[:, None] + members).ravel()
     for q, mask in tables[1:]:
         cand = cand[mask[cand % q]]
@@ -417,7 +408,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     """The solutions, ascending, are the CRT product of those mod each prime
     power q || n, found from w**alpha mod q for every residue of q
     (`_solutions`, which bounds their number).  Those tables are refused
-    past their budget before any is built (`_check_power_tables`), and so
+    past their budget before any is built (`_power_tables`), and so
     is n >= 2**31, past the exact int64 products of `pow_all_numpy` and
     `_phase_sums`.  One k over at most n solutions takes the few-term leaf
     of `_phase_sums`, so no root table is built and none is checked: at
@@ -433,9 +424,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     if math.gcd(b, n) != 1:
         raise DomainError(f"b = {b} is not a unit mod {n}")
     _check_k(n, k)
-    comps = _components(factorize(n))
-    _check_power_tables(n, comps)
-    sols = _solutions(n, [(q, pow_all_numpy(q, alpha) == b % q) for q in comps])
+    sols = _solutions(n, [(q, x == b % q) for q, x in _power_tables(factorize(n), alpha)])
     (z,) = _phase_sums(sols, [k], n)
     total = _csum(z, len(sols), n)
     return CancellationSum(n, alpha, b, k, total, len(sols), total.magnitude() / math.sqrt(n), sols)
@@ -464,12 +453,12 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     In the exponents t, tau(chi_t, k) = sum over units w of
     e(sum_i t_i a_i(w) / m_i) e(k w / n) is an inverse DFT over the
     discrete-log grid of shape group.orders, on which each unit w sits at
-    its log vector a(w), flat index `log_combination(strides)`:
+    its log vector a(w), flat index `log_combination(group.strides)`:
     tau = phi(n) * ifftn(grid).
     """
     n = group.n
     _check_root_table(n)
-    flat = group.log_combination(math.prod(group.orders[i + 1 :]) for i in range(len(group.orders)))
+    flat = group.log_combination(group.strides)
     units = np.flatnonzero(flat >= 0)
     grid = np.zeros(group.total_order, np.complex128)
     grid[flat[units]] = _root_table(n)[(k % n) * units % n]
@@ -542,19 +531,17 @@ def decomposition_reports(n: int, ks) -> list[DecompositionReport]:
     for k in ks:
         if _check_k(n, k) == 0:
             raise DomainError(f"k = {k} is divisible by n = {n}; the cancellation identity needs n to not divide k")
-    comps = _components(scan.fac)
-    _check_power_tables(n, comps)
-    powers = [pow_all_numpy(q, scan.d) for q in comps]
-    root_solutions = _solutions(n, [(q, x == 1) for q, x in zip(comps, powers)])
+    tables = _power_tables(scan.fac, scan.d)
+    root_solutions = _solutions(n, [(q, x == 1) for q, x in tables])
     stage_sets: list[np.ndarray] = []
     duplicates = 0
     for j in range(scan.s):
-        sols = _solutions(n, [(q, x == q - 1) for q, x in zip(comps, powers)])
+        sols = _solutions(n, [(q, x == q - 1) for q, x in tables])
         dup = np.isin(sols, np.concatenate(stage_sets)) if stage_sets else np.zeros(len(sols), bool)
         duplicates += int(dup.sum())
         stage_sets.append(sols[~dup])
         if j + 1 < scan.s:
-            for q, x in zip(comps, powers):
+            for q, x in tables:
                 x *= x
                 _reduce(x, q, np.empty_like(x))
 

@@ -92,7 +92,8 @@ def _partition_ok(scan, liars: np.ndarray, marks: np.ndarray) -> bool:
     residue is in two sets or twice in one, and on no multiple of a prime
     of n, so no liar is one.  The mask marks the liars and those
     multiples, and n - phi(n) + #liars residues in all, so it is exactly
-    those."""
+    those.  Where the scan sorts its non-witnesses from the factorization
+    instead (`ResidueScan.sparse`), they are the mask's residues."""
     mask = scan.mask
     return (
         [len(x) for x in scan.liars] == [scan.counts.dth_root, *scan.per_stage]
@@ -100,6 +101,7 @@ def _partition_ok(scan, liars: np.ndarray, marks: np.ndarray) -> bool:
         and mask[liars].all()
         and all(mask[::p].all() and not marks[::p].any() for p in scan.fac.primes)
         and np.count_nonzero(mask) == scan.counts.non_coprime + len(liars)
+        and (not scan.sparse or np.array_equal(scan.nonwitnesses, np.flatnonzero(mask)))
     )
 
 
@@ -370,22 +372,24 @@ def suite_bach(n_max: int = BACH_N_MAX) -> list[SuiteResult]:
 def suite_figure_histogram(n: int = FIGURE_N, bins: int = FIGURE_BINS) -> list[SuiteResult]:
     """The 10000-bin witness histogram of n = 1056331: finishes under 60 s,
     conserves the witness count, and no bin is empty or twice the mean
-    (max relative deviation < 1).  Hard."""
+    (max relative deviation < 1).  Hard; `checked` counts these three
+    conditions."""
     t0 = time.perf_counter()
     report = equidist.histogram(n, bins)
     dt = time.perf_counter() - t0
     conserved = sum(report.counts) == report.total_witnesses
-    failures = [conserved, report.max_relative_deviation < 1.0, dt < 60.0].count(False)
+    conditions = [conserved, report.max_relative_deviation < 1.0, dt < 60.0]
     summary = (f"n={n} bins={bins}: witnesses={report.total_witnesses} mean={report.mean:.4f} "
                f"min_bin={min(report.counts)} max_bin={max(report.counts)} "
                f"max_rel_dev={report.max_relative_deviation:.12g} "
                f"chi2_like={report.chi_square_like:.6g}")
-    return [SuiteResult("figure1", bins, failures, summary)]
+    return [SuiteResult("figure1", len(conditions), conditions.count(False), summary)]
 
 
 def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResult]:
     """Across the least odd composites >= 10^3, 10^4, 10^5, 10^6 both the
-    star discrepancy and max_k |S_k|/#W must strictly decrease.  Hard.
+    star discrepancy and max_k |S_k|/#W must strictly decrease.  Hard;
+    `checked` counts these two conditions.
 
     A soft consistency check rides along: between consecutive moduli where
     every frequency ratio shrinks by at least 2x, the discrepancy should
@@ -401,6 +405,7 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
     ratios = [max(r.weyl_ratios) for r in rows]
     decreasing_d = all(a > b for a, b in zip(dstars, dstars[1:]))
     decreasing_r = all(a > b for a, b in zip(ratios, ratios[1:]))
+    conditions = [decreasing_d, decreasing_r]
     findings = [
         {
             "n": r.n,
@@ -435,7 +440,7 @@ def suite_trend(magnitudes=TREND_MAGNITUDES, k_max: int = 10) -> list[SuiteResul
         + ("  (strictly decreasing)" if decreasing_r else "  (NOT decreasing)")
         + f"; soft discrepancy/ratio consistency notes: {soft_notes}"
     )
-    return [SuiteResult("trend", len(rows), [decreasing_d, decreasing_r].count(False), summary, findings)]
+    return [SuiteResult("trend", len(conditions), conditions.count(False), summary, findings)]
 
 
 def suite_weyl_routes(n_max: int = SUM_N_MAX, k_max: int = SUM_K_MAX, large=None) -> list[SuiteResult]:

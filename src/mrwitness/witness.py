@@ -118,14 +118,10 @@ def monier_counts(fac, d: int, s: int) -> tuple[ClassCounts, list[int]]:
     with omega distinct primes; n - phi(n) residues share a factor with n, and
     the witnesses are the units left over.
     """
-    phi = 1
-    roots = 1
-    for p, e in fac.factors:
-        phi *= p ** (e - 1) * (p - 1)
-        roots *= math.gcd(p - 1, d)
-    omega = len(fac.factors)
-    levels = min([s] + [((p - 1) & -(p - 1)).bit_length() - 1 for p in fac.primes])
-    per_stage = [roots << (omega * j) for j in range(levels)]
+    primes, phi = fac.primes, fac.phi
+    roots = math.prod([math.gcd(p - 1, d) for p in primes])
+    levels = min([s] + [mr_split(p)[1] for p in primes])
+    per_stage = [roots << (len(primes) * j) for j in range(levels)]
     minus_one = sum(per_stage)
     return ClassCounts(phi - roots - minus_one, fac.n - phi, roots, minus_one), per_stage
 
@@ -175,11 +171,17 @@ class ResidueScan:
     def mask(self) -> np.ndarray:
         return _scan.nonwitness_mask(self.n, self.fac.primes, self.liars)
 
+    @property
+    def sparse(self) -> bool:
+        """Whether `nonwitnesses` come from `_scan.nonwitness_array`: at
+        most n / _SPARSE_RATIO of them by Monier's counts."""
+        return _SPARSE_RATIO * (self.n - self.counts.witness) <= self.n
+
     @cached_property
     def nonwitnesses(self) -> np.ndarray:
         """The residues of the other three classes, ascending: the few
         that witness-set statistics are computed from."""
-        if _SPARSE_RATIO * (self.n - self.counts.witness) <= self.n:
+        if self.sparse:
             return _scan.nonwitness_array(self.n, self.fac.primes, self.liars)
         return np.flatnonzero(self.mask)
 

@@ -87,13 +87,22 @@ class TestEvaluation:
             expect = g.total_order if w == 1 else 0.0
             assert abs(totals[w] - expect) < 1e-9
 
+    @staticmethod
+    def _assert_scalar_bits(chi):
+        """chi(w) is value_table()[w] bit for bit at every w: both read
+        e(j/M) from `_scan._roots`."""
+        scalar = np.array([chi(w) for w in range(chi.modulus)], np.complex128)
+        assert scalar.tobytes() == chi.value_table().tobytes(), chi.exponents
+
     def test_value_table_matches_scalar(self):
-        for n in (2, 3, 4, 8, 9, 16, 24, 45):
+        for n in (2, 3, 4, 8, 9, 15, 16, 24, 45, 63, 1024):
+            for chi in character_group(n).characters():
+                self._assert_scalar_bits(chi)
+        rng = np.random.default_rng(35)
+        for n, count in ((6561, 4), (255255, 1)):
             g = character_group(n)
-            for chi in g.characters():
-                table = chi.value_table()
-                for w in range(n):
-                    assert table[w] == pytest.approx(chi(w), abs=1e-12)
+            for i in rng.choice(g.total_order, count, replace=False).tolist():
+                self._assert_scalar_bits(g.character_by_index(i))
 
     @pytest.mark.parametrize("n", [65521, 65537])
     def test_value_table_matches_scalar_past_int32(self, n):
@@ -102,10 +111,7 @@ class TestEvaluation:
         # would also change the value mod M
         g = character_group(n)
         for t in (3, 40001, n - 2):
-            chi = g.character((t,))
-            table = chi.value_table()
-            for w in range(n):
-                assert abs(table[w] - chi(w)) < 1e-12
+            self._assert_scalar_bits(g.character((t,)))
 
     def test_component_limit_before_any_n_sized_array(self):
         """The prime 10000019 is past the 10**7 log-table limit: refused

@@ -6,7 +6,9 @@ commands below, and what commit 2c495df printed for ramanujan, gauss and
 cancel.  verify_trend.txt is what commit 2857f5f printed for
 `verify --suite trend`; verify_figure1.txt is what it printed for
 `verify --suite figure1` with the run-dependent ` time=...s` cut from the
-end of the summary, which no longer prints it.  verify_cancel_ratio.txt
+end of the summary, which no longer prints it.  In both, `checked` is the
+number of conditions the suite checks, 2 and 3, where that commit printed
+the number of moduli (4) and of bins (10000).  verify_cancel_ratio.txt
 is what commit 12a7ab9 printed for `verify --suite cancel-ratio`; it is
 not among the commands here, because that suite takes 3-5 s, and the
 "Verify suites" step of .github/workflows/tier1.yml diffs it instead.
@@ -62,6 +64,9 @@ S_k as c_n(k) less the strong-liar sum, which holds those digits; the
 witness sums that earlier commits printed were off by up to 1.5e-10,
 the shared rounding of the angle fl(2 pi) * m / n over 2 * 10**6 terms.
 weyl_1056331.txt, whose cells the reference confirmed, is as printed.
+The D* cells of 200005 in scan.txt and of 2074757 in scan_sparse.txt are
+the exact rational, a Fraction over every witness, rounded once; earlier
+commits printed a float route that was off it in the 12th digit there.
 verify_weyl_routes.txt is what `verify --suite weyl-routes` prints at its
 default bounds.
 The three sums_*.txt files print shared_factor_sum.error_budget as 0.0

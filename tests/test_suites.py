@@ -174,6 +174,21 @@ def test_partition_catches_a_mask_marking_a_witness(monkeypatch):
     assert not r.ok and r.failures == _composites_with_witnesses(301)
 
 
+def test_partition_catches_a_wrong_sparse_nonwitness_array(monkeypatch):
+    """The sorted non-witnesses of 1363 = 29 * 47 lose one multiple of 47.
+    The odd n below 1357 read theirs off the mask, so 1363 is the second n
+    whose array the suite compares with the mask."""
+    original = _scan.nonwitness_array
+
+    def nonwitness_array(n, primes, sets):
+        out = original(n, primes, sets)
+        return out[out != 47] if n == 1363 else out
+
+    monkeypatch.setattr(_scan, "nonwitness_array", nonwitness_array)
+    r = _partition(1401)
+    assert not r.ok and r.failures == 1
+
+
 @pytest.mark.parametrize("recheck", [True, False])
 def test_partition_sees_liars_traded_between_sets_only_by_pow(monkeypatch, recheck):
     """In a composite, a d-th root other than 1 and a stage-0 liar other
