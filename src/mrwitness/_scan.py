@@ -44,8 +44,8 @@ Shared kernels, each defined once here:
 * `outer_sum`: one value per index vector, summed over components (the
   CRT products here, character values and power indices in `characters`);
 * `_roots`: e(m/n) = exp(2*pi*i*m/n), the one source of those bits (the
-  phase sums and root table of `expsums`, the character values of
-  `characters`, which cannot import `expsums`).
+  phase sums, Gauss sums and small root tables of `expsums`, the character
+  values of `characters`, which cannot import `expsums`).
 
 The generators themselves come from the cached `arith.primitive_root`.
 """

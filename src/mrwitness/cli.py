@@ -238,7 +238,7 @@ def cmd_gauss(args) -> int:
 
 def cmd_cancel(args) -> int:
     """The direct sum and its character average; the direct sum alone, with
-    a note on stderr, where the average's e(m/n) table is past its budget."""
+    a note on stderr, where the average's arrays are past the byte budget."""
     direct = expsums.cancellation_sum(args.n, args.alpha, args.b, args.k)
     try:
         dual = expsums.character_average(direct)

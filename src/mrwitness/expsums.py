@@ -24,26 +24,25 @@ Every term-by-term phase sum over a residue set runs through one kernel,
 most _LEAF residues whose boundaries are the nodes of numpy's own
 pairwise-summation tree (`_pairwise_blocks`).  That tree depends only on
 the number of terms, so adding the block sums back up it gives the
-full-array `table[idx].sum()` bit for bit, while the index, scratch and
-gathered arrays stay block-sized.  A call of at most n terms over all
-its ks builds no table: each e(k*w/n) comes from `_roots`,
-which builds the table too, so both leaves give the same bits.  That leaf
-takes the ks in chunks of at most _LEAF terms, 24 B of scratch each, so
-it holds at most 24 B * _LEAF per worker against the table's 16 n B.  A
-block is a range [lo, hi) of ranks in the ascending set, and each leaf
-builds its own residues from a block source: a slice of an array, or
-`ResidueScan.witness_block`, which builds the witnesses of those ranks
-from the sorted non-witnesses, so no n-sized witness list exists.  The
-blocks are independent, so they run through `concurrency.ordered_map`, on
-`thread_count()` workers from the main thread and inline from any other,
-and their sums are added up the tree in the same order: the same bits for
-any worker count.
+full-array sum bit for bit, while every array stays block-sized.  Each
+e(k*w/n) comes from `_roots`, in chunks of at most _LEAF terms, 24 B of
+scratch each: at most 24 B * _LEAF per worker.  Only a sum of more than
+n terms over all its ks at n <= _LEAF gathers them from `_root_table(n)`,
+the cached `_roots` of every residue (at most 512 KiB, the same bits);
+the Gauss sums read it there too (`_roots_at`), so no e(m/n) array passes
+_LEAF entries.  A block is a range [lo, hi) of ranks in the ascending set,
+and each leaf builds its own residues from a block source: a slice of an
+array, or `ResidueScan.witness_block`, which builds the witnesses of those
+ranks from the sorted non-witnesses, so no n-sized witness list exists.
+The blocks are independent, so they run through `concurrency.ordered_map`,
+on `thread_count()` workers from the main thread and inline from any
+other, and their sums are added up the tree in the same order: the same
+bits for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +56,7 @@ from .errors import DomainError
 from .witness import classify_all
 
 MAX_FREQUENCY = 10**6  # |k| beyond this is outside the supported desk scale
-ROOT_TABLE_BYTES = 2**30  # e(m/n) table, 16 B per residue (n <= 2**26); cancellation power tables and candidates
+BYTE_BUDGET = 2**30  # the n-sized arrays of an entry point, cancellation power tables and candidates
 
 BUDGET_SCALE = 2.0**-50
 
@@ -110,24 +109,9 @@ def budget_ratio(difference, *values):
 
 def _check_bytes(size: int, what: str) -> None:
     """DomainError when `what` (a subject and its verb) takes size bytes,
-    past ROOT_TABLE_BYTES: asked before any of them is allocated."""
-    if size > ROOT_TABLE_BYTES:
-        raise DomainError(f"{what} {size} bytes, past the budget of {ROOT_TABLE_BYTES}")
-
-
-def _check_root_table(n: int) -> None:
-    """`_check_bytes` for the 16 B per residue of `_root_table(n)`: asked
-    before any n-sized array of a phase sum."""
-    _check_bytes(16 * n, f"the e(m/n) table of n = {n} needs")
-
-
-@lru_cache(maxsize=8)
-def _root_table(n: int) -> np.ndarray:
-    """e(m/n) for m in [0, n), the bits of exp(2j*pi*arange(n)/n) built in
-    place in the one complex array by `_roots`, with no int64 ramp beside
-    it, after `_check_root_table`."""
-    _check_root_table(n)
-    return _roots(np.arange(n, dtype=np.complex128), n)
+    past BYTE_BUDGET: asked before any of them is allocated."""
+    if size > BYTE_BUDGET:
+        raise DomainError(f"{what} {size} bytes, past the budget of {BYTE_BUDGET}")
 
 
 def _check_k(n: int, k: int) -> int:
@@ -139,14 +123,29 @@ def _check_k(n: int, k: int) -> int:
 
 
 _LEAF = 2**15  # residues per block; at least numpy's 64-value pairwise leaf
-# `_phase_sums` takes its own exps when terms * len(ks) <= n.  At n = 2000003 on
-# a 2-CPU VM the exp costs 30-32 ns per term, the gather 9-11 ns and the table
-# 24-25 ns per residue, so a pass over T terms that must build the table breaks
-# even near T = 1.25 n: below n no single pass pays for a table it could do
-# without.  Where the table is cached already, the exps waste up to 20 ns per
-# residue of n.  Measured against the former rule, terms * len(ks) * 16 <= n:
-# `sums --n 2074757 --k 3` 107-120 against 133-139 ms and 35 against 67 MB max
-# RSS (no table); `suite_cancellation_ratio(30000)` 0.91-1.26 against 0.88-1.27 s.
+# `_phase_sums` gathers only when n <= _LEAF and terms * len(ks) > n.  At
+# n = 2000003 on a 2-CPU VM the exp costs 30-32 ns per term, the gather
+# 9-11 ns and the table 24-25 ns per residue, so a pass over T terms that
+# must build the table breaks even near T = 1.25 n.  Above _LEAF no table is
+# built even where one would pay (a 10-k witness sum at 2074757: 0.35-0.41 s
+# against 0.18-0.19 s building the table), so no sum holds its 16 n B.
+
+
+@lru_cache(maxsize=8)
+def _root_table(n: int) -> np.ndarray:
+    """e(m/n) for m in [0, n), n <= _LEAF: the bits of
+    exp(2j*pi*arange(n)/n) built in place in the one complex array by
+    `_roots`, at most 512 KiB."""
+    return _roots(np.arange(n, dtype=np.complex128), n)
+
+
+def _roots_at(idx: np.ndarray, n: int) -> np.ndarray:
+    """e(m/n) for each m of the int64 array idx in [0, n): gathered from
+    `_root_table(n)` at n <= _LEAF, else `_roots` of idx itself, the same
+    bits."""
+    if n <= _LEAF:
+        return _root_table(n)[idx]
+    return _roots(idx.astype(np.complex128), n)
 
 
 def _pairwise(lo: int, hi: int, leaf):
@@ -183,7 +182,8 @@ def _pairwise_blocks(count: int, leaf):
 
 def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]:
     """[sum of e(k*w/n) over the residues w in [0, n) for k in ks], each
-    equal bit for bit to the full-array `_root_table(n)[k*w % n].sum()`.
+    equal bit for bit to numpy's full-array sum
+    `_roots((k*w % n).astype(np.complex128), n).sum()`.
 
     residues is an array of them, or, with their count, a block source:
     residues(lo, hi) gives those of ranks [lo, hi) of the ascending set,
@@ -191,29 +191,21 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     every product (k mod n) * w is below n**2 < 2**62: each caller refuses
     larger n first.
 
-    When count * len(ks) <= n, each leaf takes e(k*w/n) from `_roots`, on
-    the len(ks) x block products (k mod n) * w mod n, in chunks of whole
-    rows of at most _LEAF terms (one row when the block is longer):
-    24 B * _LEAF of scratch per worker.  Each row's `.sum()` is the
-    pairwise sum of that row alone, so the chunking leaves the bits as they
-    are.  Otherwise it gathers.
+    Unless n <= _LEAF and count * len(ks) > n, each leaf takes e(k*w/n)
+    from `_roots`, on the len(ks) x block products (k mod n) * w mod n, in
+    chunks of whole rows of at most _LEAF terms (one row when the block is
+    longer): 24 B * _LEAF of scratch per worker.  Each row's `.sum()` is
+    the pairwise sum of that row alone, so the chunking leaves the bits as
+    they are.
 
-    Within a block, the index k*w mod n of a k whose residue mod n is one
-    more than the previous k's is carried from it: adding w < n to an
-    index below n gives a sum t < 2n, and t mod n is the smaller of t and
-    t - n read as unsigned, where t - n < 0 wraps above 2**63.  Any other
-    k reduces (k mod n) * w afresh, which is below n**2 < 2**62, so the
-    floor-divide reduction is exact and gives the same
-    indices as `%`.  Each k then gathers the same table entries in the
-    same order and sums them on the same tree.
-
-    Each thread keeps one pair of index and scratch arrays for all the
-    leaves it runs in the call.  A fresh pair per leaf (512 KiB at
-    _LEAF) lets glibc return the freed heap top to the system and fault
-    it back in for the next leaf: three 10-k witness sums at 2074757 (the
-    gather leaf of `sums` and the weyl-routes suite), table cached, took
-    2,765-3,682 minor page faults against 1,802-2,134 with the pair kept
-    (glibc, Python 3.11, 2 workers on a 2-CPU VM).
+    Otherwise count <= n <= _LEAF, so the residues are one block, and each
+    k gathers its terms from `_root_table(n)` inline.  The index k*w mod n
+    of a k whose residue mod n is one more than the previous k's is
+    carried from it: adding w < n to an index below n gives a sum t < 2n,
+    and t mod n is the smaller of t and t - n read as unsigned, where
+    t - n < 0 wraps above 2**63.  Any other k reduces (k mod n) * w
+    afresh, which is below n**2 < 2**62, so the floor-divide reduction is
+    exact and gives the same indices as `%`.
     """
     if count is None:
         array, count = residues, len(residues)
@@ -224,7 +216,7 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
     krs = [k % n for k in ks]
     if count == 0 or not krs:
         return [0j] * len(krs)
-    if count * len(krs) <= n:
+    if n > _LEAF or count * len(krs) <= n:
         kcol = np.array(krs, np.int64)[:, None]
 
         def few(lo, hi):
@@ -235,30 +227,22 @@ def _phase_sums(residues, ks, n: int, count: int | None = None) -> list[complex]
 
         return _pairwise_blocks(count, few).tolist()
     table = _root_table(n)
-    size = min(count, _LEAF)
-    own = threading.local()
-
-    def leaf(lo, hi):
-        ws = residues(lo, hi)
-        if not hasattr(own, "idx"):  # the first leaf of this thread
-            own.idx, own.scratch = np.empty(size, np.int64), np.empty(size, np.int64)
-        idx, scratch = own.idx[: len(ws)], own.scratch[: len(ws)]
-        unsigned = idx.view(np.uint64)
-        sums = np.empty(len(krs), np.complex128)
-        prev = None
-        for j, kr in enumerate(krs):
-            if prev is not None and kr == (prev + 1) % n:
-                idx += ws
-                np.subtract(idx, n, out=scratch)
-                np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
-            else:
-                np.multiply(ws, kr, out=idx)
-                _reduce(idx, n, scratch)
-            sums[j] = table[idx].sum()
-            prev = kr
-        return sums
-
-    return _pairwise_blocks(count, leaf).tolist()
+    ws = residues(0, count)
+    idx, scratch = np.empty(count, np.int64), np.empty(count, np.int64)
+    unsigned = idx.view(np.uint64)
+    sums = []
+    prev = None
+    for kr in krs:
+        if prev is not None and kr == (prev + 1) % n:
+            idx += ws
+            np.subtract(idx, n, out=scratch)
+            np.minimum(unsigned, scratch.view(np.uint64), out=unsigned)
+        else:
+            np.multiply(ws, kr, out=idx)
+            _reduce(idx, n, scratch)
+        sums.append(complex(table[idx].sum()))
+        prev = kr
+    return sums
 
 
 @dataclass(frozen=True)
@@ -285,10 +269,14 @@ class RamanujanSum:
 def ramanujan(n: int, ks) -> list[RamanujanSum]:
     """One RamanujanSum per k of ks, from one unit set (by np.gcd), one
     `_phase_sums` call, and one factorization of n, which every closed
-    form reads."""
+    form reads.  Refused before any n-sized array at n >= 2**31, and past
+    the budget of its peak, 16 B per residue: the int64 ramp and its gcds
+    (the mask and units after them take at most 9 B)."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    _check_root_table(n)
+    if n >= _BATCH_LIMIT:
+        raise DomainError(f"Ramanujan sums support n < 2**31, got {n}")
+    _check_bytes(16 * n, f"the unit sum of n = {n} needs")
     ks = list(ks)
     fac = factorize(n)
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)  # [0] at n = 1, where brute is 1
@@ -305,15 +293,15 @@ def ramanujan(n: int, ks) -> list[RamanujanSum]:
 def gauss_sum_brute(chi: DirichletCharacter, k: int) -> ComplexSum:
     """Term-by-term sum of chi(w) * e(k*w/n) over all w in [0, n), in the
     blocks of `_pairwise_blocks`: the bits of the full-array sum, with
-    block-sized temporaries and no n-sized residue range."""
+    block-sized temporaries and no n-sized residue range.  Refused, before
+    the value table, past the budget of its 24 B per residue."""
     n = chi.modulus
-    _check_root_table(n)
-    vals = chi.value_table()  # refused by its own limits before it is built
-    table = _root_table(n)
+    _check_bytes(24 * n, f"the character values of n = {n} need")
+    vals = chi.value_table()
     kr = k % n
 
     def leaf(lo, hi):  # the residues of ranks [lo, hi) are lo..hi-1, their values a slice
-        return (vals[lo:hi] * table[kr * np.arange(lo, hi, dtype=np.int64) % n]).sum()
+        return (vals[lo:hi] * _roots_at(kr * np.arange(lo, hi, dtype=np.int64) % n, n)).sum()
 
     z = complex(_pairwise_blocks(n, leaf))
     return _csum(z, n, n)
@@ -365,7 +353,7 @@ def _power_tables(fac: Factorization, e: int) -> list[tuple[int, np.ndarray]]:
     """(q, w**e mod q for every w in [0, q)) for each prime power q || n =
     fac.n, largest q first, by `pow_all_numpy`.  DomainError, before any
     is built, when they and a bool mask beside each (9 B per residue)
-    exceed ROOT_TABLE_BYTES."""
+    exceed BYTE_BUDGET."""
     qs = sorted((p**a for p, a in fac.factors), reverse=True)
     _check_bytes(9 * sum(qs), f"the power tables mod the prime powers of n = {fac.n} need")
     return [(q, pow_all_numpy(q, e)) for q in qs]
@@ -379,7 +367,7 @@ def _solutions(n: int, tables) -> np.ndarray:
     w = r + q0 * t run over the members r of the largest component and all
     t < n / q0, laid out t-major so that they come ascending, and are
     sieved through the other components' masks.  DomainError, before they
-    are built, when their 8 B each exceed ROOT_TABLE_BYTES.
+    are built, when their 8 B each exceed BYTE_BUDGET.
     """
     q0, mask0 = tables[0]
     members = np.flatnonzero(mask0)
@@ -411,7 +399,7 @@ def cancellation_sum(n: int, alpha: int, b: int, k: int) -> CancellationSum:
     past their budget before any is built (`_power_tables`), and so
     is n >= 2**31, past the exact int64 products of `pow_all_numpy` and
     `_phase_sums`.  One k over at most n solutions takes the few-term leaf
-    of `_phase_sums`, so no root table is built and none is checked: at
+    of `_phase_sums`, so no root table is built: at
     2146654199 = 46327 * 46337, alpha = 2 has 4 solutions and is summed,
     and alpha = lambda(n), whose solutions are all the units, is refused
     before its candidates exist."""
@@ -446,6 +434,9 @@ class DualCancellation:
     agrees: bool
 
 
+_GAUSS_SUMS_BYTES = 64  # of `gauss_sums`: the int64 log combination; per unit its index, the grid and two FFT results
+
+
 def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     """tau(chi, k) for every character of the group, in character-index
     order, from one FFT.
@@ -454,23 +445,27 @@ def gauss_sums(group: CharacterGroup, k: int) -> np.ndarray:
     e(sum_i t_i a_i(w) / m_i) e(k w / n) is an inverse DFT over the
     discrete-log grid of shape group.orders, on which each unit w sits at
     its log vector a(w), flat index `log_combination(group.strides)`:
-    tau = phi(n) * ifftn(grid).
+    tau = phi(n) * ifftn(grid), the roots written _LEAF units at a time.
+    Refused, before any n-sized array, past _GAUSS_SUMS_BYTES per residue.
     """
     n = group.n
-    _check_root_table(n)
+    _check_bytes(_GAUSS_SUMS_BYTES * n, f"the Gauss sums of n = {n} need")
     flat = group.log_combination(group.strides)
     units = np.flatnonzero(flat >= 0)
     grid = np.zeros(group.total_order, np.complex128)
-    grid[flat[units]] = _root_table(n)[(k % n) * units % n]
+    kr = k % n
+    for lo in range(0, len(units), _LEAF):
+        block = units[lo : lo + _LEAF]
+        grid[flat[block]] = _roots_at(kr * block % n, n)
     return group.total_order * np.fft.ifftn(grid.reshape(group.orders or (1,))).ravel()
 
 
 def character_average(direct: CancellationSum) -> DualCancellation:
     """The direct sum set beside its character-orthogonality average.
-    DomainError, before the character group is built, when the average's
-    e(m/n) table is past ROOT_TABLE_BYTES."""
+    DomainError, before the character group is built, when the arrays of
+    `gauss_sums` are past BYTE_BUDGET."""
     n, alpha, b, k = direct.n, direct.alpha, direct.b, direct.k
-    _check_root_table(n)
+    _check_bytes(_GAUSS_SUMS_BYTES * n, f"the Gauss sums of n = {n} need")
     group = character_group(n)
     taus = gauss_sums(group, k)
     chi_binv = group.values_at(pow(b, -1, n))

@@ -49,38 +49,32 @@ class TestBasicCommands:
         assert code == 1
         assert "n is prime: witness set empty" in capsys.readouterr().err
 
-    def test_phase_sums_past_the_root_table_budget_exit_1(self, capsys, monkeypatch):
-        """The 16 B per residue of the e(m/n) table are refused before it
-        is allocated, and so is every n-sized array of the same command: at
-        2146654199 under the default budget (34 GB), and at 1056331 under a
-        budget of 16 * 10**6 bytes, where the 263,538 liars at 10 ks are
-        more terms than n, so `weyl` takes the table."""
+    def test_gauss_and_ramanujan_past_the_byte_budget_exit_1(self, capsys, monkeypatch):
+        """At 2146654199 the bytes per residue of the n-sized arrays are
+        refused before the first of them is allocated: the 24 B of the
+        character values of `gauss` (52 GB) and the 16 B of the ramp and
+        its gcds of `ramanujan` (34 GB)."""
         from mrwitness import characters, expsums
 
-        def refused(*argv):
+        n = 2146654199
+
+        def refused(size, *argv):
             assert run_cli(*argv) == (1, ""), argv
-            assert "needs 34346467184 bytes" in capsys.readouterr().err
+            assert f" {size} bytes, past the budget" in capsys.readouterr().err
 
         def fail(*args):
             raise AssertionError("reached past the budget check")
 
-        with monkeypatch.context() as m:
-            # gauss builds the value table, and ramanujan factors n, just
-            # before their first n-sized array: a late check fails here
-            m.setattr(characters.DirichletCharacter, "value_table", fail)
-            m.setattr(expsums, "factorize", fail)
-            refused("gauss", "--n", "2146654199", "--char", "1", "--k", "1")
-            refused("ramanujan", "--n", "2146654199", "--k", "1")
-        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 10**6)
-        expsums._root_table.cache_clear()
-        assert run_cli("weyl", "--n", "1056331", "--k", "10") == (1, "")
-        assert "needs 16901296 bytes" in capsys.readouterr().err
-        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 16 * 1056331)
-        assert run_cli("weyl", "--n", "1056331", "--k", "10")[0] == 0
+        # gauss builds the value table, and ramanujan factors n, just
+        # before their first n-sized array: a late check fails here
+        monkeypatch.setattr(characters.DirichletCharacter, "value_table", fail)
+        monkeypatch.setattr(expsums, "factorize", fail)
+        refused(24 * n, "gauss", "--n", str(n), "--char", "1", "--k", "1")
+        refused(16 * n, "ramanujan", "--n", str(n), "--k", "1")
 
-    def test_weyl_past_the_root_table_budget_sums_two_liars(self):
+    def test_weyl_at_2146654199_sums_two_liars(self):
         """2146654199 = 46327 * 46337 has 2 strong liars, 1 and n - 1, so
-        S_k = c_n(k) - 2 cos(2 pi k / n) needs no root table."""
+        S_k = c_n(k) - 2 cos(2 pi k / n), two terms per k."""
         from mrwitness import WitnessClass, classify, classify_all
         from mrwitness.arith import factorize
         from mrwitness.expsums import ramanujan_closed
@@ -99,17 +93,17 @@ class TestBasicCommands:
             want.append(f"{k},{mag:.12g},{mag / counts.witness:.12g}")
         assert out.splitlines() == want
 
-    def test_cancel_past_the_root_table_budget(self, capsys):
+    def test_cancel_past_the_character_average_budget(self, capsys):
         """At 2146654199 = 46327 * 46337 the 4 square roots of 4 are summed
-        one by one with no root table, and the character average, which
-        needs one, is skipped with a note on stderr.  At alpha = lambda(n)
+        one by one, and the character average, whose Gauss sums need 64 B
+        per residue, is skipped with a note on stderr.  At alpha = lambda(n)
         every unit is a solution: the 8 B candidates of 46327 * 46336 of
         them are refused before they are built."""
         p, q = 46327, 46337
         n = p * q
         code, out = run_cli("cancel", "--n", str(n), "--alpha", "2", "--b", "4", "--k", "1")
         assert code == 0
-        assert "character average skipped" in capsys.readouterr().err
+        assert f"character average skipped: the Gauss sums of n = {n} need {64 * n} bytes" in capsys.readouterr().err
         roots = [a + p * ((b - a) * pow(p, -1, q) % q) for a in (2, p - 2) for b in (2, q - 2)]
         assert all(w * w % n == 4 for w in roots)
         want = sum(cmath.exp(2j * math.pi * w / n) for w in roots)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrwitness import equidist, expsums
-from mrwitness._scan import _reduce, pow_all_numpy
+from mrwitness._scan import _reduce, _roots, pow_all_numpy
 from mrwitness.arith import is_prime
 from mrwitness.witness import classify_all, mr_decompose
 
@@ -67,9 +67,9 @@ def solutions_oracle(n, e, b):
 
 
 def phase_oracle(ws, k, n):
-    """numpy's full-array sum of e(k*w/n) over ws, which `_phase_sums`
-    equals bit for bit."""
-    return complex(expsums._root_table(n)[(k * ws) % n].sum())
+    """numpy's full-array sum of e(k*w/n) over ws, from `_roots` of the
+    whole index array, which `_phase_sums` equals bit for bit."""
+    return complex(_roots(((k * ws) % n).astype(np.complex128), n).sum())
 
 
 def reports_oracle(n, ks):

@@ -119,9 +119,9 @@ class TestRamanujan:
                 assert expsums.ramanujan_closed(fac, k) == oracle[g], (n, k)
 
     def test_refused_past_2_31_before_allocating(self):
-        # the unit mask alone would take terabytes: the root-table budget
-        # refuses n before it is built
-        with pytest.raises(DomainError, match=f"needs {16 * (2**40 + 1)} bytes"):
+        # the unit mask alone would take terabytes, and the int64 products
+        # of the phase sums are exact only below 2**31: n is refused first
+        with pytest.raises(DomainError, match=r"^Ramanujan sums support n < 2\*\*31, got 1099511627777$"):
             expsums.ramanujan(2**40 + 1, [1])
 
 class TestGaussSums:
@@ -190,14 +190,14 @@ class TestGaussSums:
 
     def test_refused_past_2_31_before_allocating(self):
         # both components are below the log-table limit; n-sized tables are
-        # not, and the phase-sum routes meet the root-table budget first
+        # not, and the Gauss-sum routes meet their byte budgets first
         n = 9999991 * 9999973
         chi = character_group(n).character_by_index(1)
         for route, message in (
             (chi.value_table, "2\\*\\*31"),
-            (lambda: expsums.gauss_sum_brute(chi, 1), f"needs {16 * n} bytes"),
-            (lambda: expsums.gauss_sum_reduced(chi, 1), f"needs {16 * n} bytes"),
-            (lambda: expsums.gauss_sums(chi.group, 1), f"needs {16 * n} bytes"),
+            (lambda: expsums.gauss_sum_brute(chi, 1), f"need {24 * n} bytes"),
+            (lambda: expsums.gauss_sum_reduced(chi, 1), f"need {24 * n} bytes"),
+            (lambda: expsums.gauss_sums(chi.group, 1), f"need {64 * n} bytes"),
         ):
             with pytest.raises(DomainError, match=message):
                 route()
@@ -248,11 +248,11 @@ class TestCancellation:
 
     def test_candidates_bounded_before_they_are_built(self, monkeypatch):
         """At 15 and alpha = lambda(15) = 4 the 8 units solve; they come
-        from 3 * 4 candidates w = r + 5t, 96 B against ROOT_TABLE_BYTES."""
-        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 95)
+        from 3 * 4 candidates w = r + 5t, 96 B against BYTE_BUDGET."""
+        monkeypatch.setattr(expsums, "BYTE_BUDGET", 95)
         with pytest.raises(DomainError, match="^the candidate solutions mod n = 15 need 96 bytes"):
             expsums.cancellation_sum(15, 4, 1, 1)
-        monkeypatch.setattr(expsums, "ROOT_TABLE_BYTES", 96)
+        monkeypatch.setattr(expsums, "BYTE_BUDGET", 96)
         assert list(expsums.cancellation_sum(15, 4, 1, 1).solutions) == [1, 2, 4, 7, 8, 11, 13, 14]
 
     @given(st.integers(min_value=2, max_value=250), st.integers(min_value=1, max_value=8), st.data())

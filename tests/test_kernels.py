@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrwitness import concurrency, equidist, expsums
-from mrwitness._scan import _POW_BLOCK, liar_codes, pow_all_numpy, pow_elementwise
+from mrwitness._scan import _POW_BLOCK, _roots, liar_codes, pow_all_numpy, pow_elementwise
 from mrwitness.arith import is_prime
 from mrwitness.witness import WitnessClass, _minus_one_stage, classify, classify_all, mr_decompose
 
@@ -103,12 +103,16 @@ def _mixed_ks(n):
     return [3, 3, 7, -1, 0, n - 1, n, n + 1, 10**6]
 
 
+def _full_sum(ws, k, n):
+    """numpy's full-array sum of e(k*w/n) over ws, from `_roots` of the
+    whole index array: the oracle of `_phase_sums`, bit for bit."""
+    return complex(_roots(((k * ws) % n).astype(np.complex128), n).sum())
+
+
 def _check_bits(ws, n, ks, few=None):
-    """`_phase_sums` against numpy's full-array sum of the gathered roots,
-    bit for bit; with few given, also whether the call took the few-term
-    leaf, which reads no root table."""
-    table = expsums._root_table(n)
-    want = [complex(table[(k * ws) % n].sum()) for k in ks]
+    """`_phase_sums` against `_full_sum`, bit for bit; with few given, also
+    whether the call took the few-term leaf, which reads no root table."""
+    want = [_full_sum(ws, k, n) for k in ks]
     calls = expsums._root_table.cache_info()
     got = expsums._phase_sums(ws, ks, n)
     if few is not None:
@@ -139,8 +143,9 @@ class TestPhaseSums:
     def test_root_table_is_the_full_expression_bitwise(self):
         """Built in place from a complex ramp, the table keeps the bits of
         the one-line build from an int64 ramp: at every odd n < 3000, small
-        even n, and the moduli of the CLI goldens."""
-        ns = [*range(1, 3000, 2), *range(2, 300, 2), 2411, 20007, 1024, 6561, 255255, *GOLDEN_MODULI]
+        even n, and the CLI golden moduli up to _LEAF, past which no table
+        is built."""
+        ns = [*range(1, 3000, 2), *range(2, 300, 2), 2411, 20007, 1024, 6561, expsums._LEAF]
         for n in ns:
             want = np.exp(2j * np.pi * np.arange(n) / n)
             assert expsums._root_table.__wrapped__(n).tobytes() == want.tobytes(), n
@@ -149,7 +154,7 @@ class TestPhaseSums:
         """No root table is built for an empty set, directly or through
         an empty solution set of the cancellation sum, nor for the few
         liars of 2074757 (sets of 1, 1 and 4), whose sums at k = 1..10
-        match the gathered roots bit for bit."""
+        match `_full_sum` bit for bit."""
 
         def fail(n):
             raise AssertionError("root table built")
@@ -157,8 +162,7 @@ class TestPhaseSums:
         n = 2074757
         liars = [np.sort(x) for x in classify_all(n).liars]
         assert [len(x) for x in liars] == [1, 1, 4]
-        table = expsums._root_table(n)
-        want = [_bits(complex(table[k * ws % n].sum()) for k in range(1, 11)) for ws in liars]
+        want = [_bits(_full_sum(ws, k, n) for k in range(1, 11)) for ws in liars]
         monkeypatch.setattr(expsums, "_root_table", fail)
         assert [_bits(expsums._phase_sums(ws, range(1, 11), n)) for ws in liars] == want
         assert expsums._phase_sums(np.array([], np.int64), [1, 2, 3], 15) == [0j, 0j, 0j]
@@ -239,16 +243,14 @@ class TestWitnessBlocks:
             scan = classify_all(n)
             ks = [1, 2, 3, 7, n - 1]
             got = expsums._phase_sums(scan.witness_block, ks, n, scan.counts.witness)
-            table = expsums._root_table(n)
-            want = [complex(table[k * _witness_list(scan) % n].sum()) for k in ks]
+            want = [_full_sum(_witness_list(scan), k, n) for k in ks]
             assert _bits(got) == _bits(want), n
 
     def test_weyl_holds_no_witness_list(self, monkeypatch):
-        """With the root table built, `weyl_battery` at 2074757 on two
-        workers peaks below 6 MiB: 8 B per witness would be 15.8 MiB."""
+        """`weyl_battery` at 2074757 on two workers peaks below 6 MiB: 8 B
+        per witness would be 15.8 MiB."""
         monkeypatch.setattr(concurrency, "thread_count", lambda: 2)
         n = 2074757
-        expsums._root_table(n)
         tracemalloc.start()
         try:
             rows = equidist.weyl_battery(n, 10)
@@ -257,6 +259,26 @@ class TestWitnessBlocks:
             tracemalloc.stop()
         assert len(rows) == 10
         assert peak < 6 * 2**20
+
+    def test_sums_past_leaf_build_no_root_table(self, monkeypatch):
+        """Past _LEAF a sum of more terms than n takes its own exps, so ten
+        ks over the 2,071,674 witnesses of 2074757 peak below 4 MiB, and
+        `weyl_battery` at 1056331, ten ks over 263,538 liars, below 6 MiB
+        with the liars built: an e(m/n) table of every residue alone would
+        be 33 MB and 16.9 MB."""
+        monkeypatch.setattr(concurrency, "thread_count", lambda: 2)
+        n = 2074757
+        scan = classify_all(n)
+        scan.witness_block(0, 1)  # the sorted non-witnesses, read by every block
+        for call, limit in ((lambda: expsums._phase_sums(scan.witness_block, range(1, 11), n, scan.counts.witness), 4),
+                            (lambda: equidist.weyl_battery(1056331, 10), 6)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2**20
 
 
 class TestBlockWorkers:
@@ -270,18 +292,22 @@ class TestBlockWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bitwise_for_any_worker_count(self, workers, monkeypatch):
-        """Sets of one to four blocks on each leaf: at 100003, 9 ks over
-        at least _LEAF terms are more terms than n and gather; at 3200003
-        they are fewer and take the few-term leaf, whose blocks of about
-        _LEAF / 2 (2 * _LEAF + 1 terms) take two ks per chunk."""
+        """Sets of one to four blocks take the few-term leaf past _LEAF: at
+        100003, where 9 ks over them are more terms than n, and at 3200003,
+        where blocks of about _LEAF / 2 (2 * _LEAF + 1 terms) take two ks
+        per chunk.  At 32749 <= _LEAF, sets of more terms than n over the
+        9 ks gather from the table in one block."""
         self._workers(monkeypatch, workers)
         rng = np.random.default_rng(17)
         leaf = expsums._LEAF
-        for n, few in ((100_003, False), (3_200_003, True)):
+        for n in (100_003, 3_200_003):
             for count in (leaf, leaf + 1, 2 * leaf + 1, 3 * leaf + 5):
-                ks = _mixed_ks(n)
-                assert (count * len(ks) <= n) == few
-                _check_bits(np.sort(rng.choice(n, count, replace=False)), n, ks, few=few)
+                _check_bits(np.sort(rng.choice(n, count, replace=False)), n, _mixed_ks(n), few=True)
+        n = 32_749
+        for count in (3_640, leaf // 2, n):
+            ks = _mixed_ks(n)
+            assert count * len(ks) > n and n <= leaf
+            _check_bits(np.sort(rng.choice(n, count, replace=False)), n, ks, few=False)
 
     def test_many_ks_chunk_the_few_term_leaf(self, monkeypatch):
         """1000 ks over 3200 terms at 3200003 take the few-term leaf in
@@ -290,8 +316,7 @@ class TestBlockWorkers:
         n = 3_200_003
         ws = np.sort(np.random.default_rng(19).choice(n, 3200, replace=False))
         ks = range(1, 1001)
-        table = expsums._root_table(n)
-        want = [complex(table[k * ws % n].sum()) for k in ks]
+        want = [_full_sum(ws, k, n) for k in ks]
         sizes = []
         original = expsums._roots
 
@@ -318,8 +343,7 @@ class TestBlockWorkers:
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        table = expsums._root_table(n)
-        assert got == [[complex(table[k * ws % n].sum()) for k in (1, 5)]]
+        assert got == [[_full_sum(ws, k, n) for k in (1, 5)]]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_error_in_block_order(self, workers, monkeypatch):
